@@ -16,8 +16,9 @@ import math
 from functools import lru_cache
 
 
+@lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Trial-division primality test (desk scale)."""
+    """Trial-division primality test (desk scale), cached per n."""
     if n < 2:
         return False
     for q in range(2, int(math.isqrt(n)) + 1):
@@ -110,21 +111,27 @@ def factorial_table(p):
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
+def inverse_factorial_table(p):
+    """Table of 1/0!, 1/1!, ..., 1/(p-1)! reduced mod p."""
+    return tuple(pow(f, p - 2, p) for f in factorial_table(p))
+
+
 def multinomial_mod_p(e, p) -> PrimeFieldElement:
     """(p-1)! / (e_1! ... e_N!) mod p, for e summing to p-1.
 
     Every e_k < p, so each factorial is a unit mod p and the quotient is
-    computed from the factorial table with modular inverses.
+    (p-1)! times a product of entries of the inverse-factorial table.
     """
     e = tuple(e)
-    if any(x < 0 for x in e):
+    if min(e, default=0) < 0:
         raise ValueError("negative entry in multinomial argument")
     if sum(e) != p - 1:
         raise ValueError(f"entries sum to {sum(e)}, expected p-1 = {p - 1}")
-    table = factorial_table(p)
-    val = table[p - 1]
+    inv = inverse_factorial_table(p)
+    val = factorial_table(p)[p - 1]
     for x in e:
-        val = val * pow(table[x], p - 2, p) % p
+        val = val * inv[x] % p
     return PrimeFieldElement(val, p)
 
 
@@ -285,12 +292,8 @@ class SparseLaurentPoly:
         """Canonical text form ``c*L1^e1*...*LN^eN + ...``, lex term order."""
         if self.is_zero:
             return "0"
-        parts = []
-        for exp, c in self.sorted_terms():
-            factors = [str(c)]
-            factors += [f"L{k + 1}^{e}" for k, e in enumerate(exp)]
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        template = "*".join(["%d"] + [f"L{k + 1}^%d" for k in range(self.nvars)])
+        return " + ".join(template % (c, *exp) for exp, c in self.sorted_terms())
 
     def __repr__(self):
         return f"<SparseLaurentPoly {self.canonical_str()} (mod {self.modulus})>"

@@ -15,7 +15,7 @@ import itertools
 import json
 import sys
 
-from .algebra import ExtensionField
+from .algebra import ExtensionField, is_prime
 from .geometry import SupportSet
 from .hasse_witt import (
     HypothesisViolation,
@@ -91,6 +91,12 @@ def load_config(args) -> dict:
     for key in ("n", "d", "p", "a", "seed"):
         if not isinstance(cfg.get(key), int):
             raise ConfigError(f"config field {key!r} must be an integer")
+    if not is_prime(cfg["p"]):
+        raise ConfigError(f"p = {cfg['p']} is not prime")
+    if cfg["a"] < 1:
+        raise ConfigError(f"extension degree a = {cfg['a']} must be >= 1")
+    if cfg.get("depth") is not None:
+        _require_depth(cfg["depth"])
     if "exponents" not in cfg or not cfg["exponents"]:
         raise ConfigError("config field 'exponents' must be a nonempty list")
     return cfg
@@ -214,16 +220,28 @@ def cmd_generic_det(args, cfg, support):
 
 
 def _indices(args, support):
-    i = (args.i or 1) - 1
-    j = (args.j or args.i or 1) - 1
-    if not 0 <= i < support.m or not 0 <= j < support.m:
+    i = 1 if args.i is None else args.i
+    j = i if args.j is None else args.j
+    if not 1 <= i <= support.m or not 1 <= j <= support.m:
         raise ConfigError(f"series indices must lie in 1..{support.m}")
-    return i, j
+    return i - 1, j - 1
+
+
+def _require_depth(depth):
+    if not isinstance(depth, int) or depth < 1:
+        raise ConfigError(f"depth must be an integer >= 1, got {depth!r}")
+    return depth
+
+
+def _depth(args, cfg):
+    """--depth, else the config's depth, else p."""
+    depth = cfg.get("depth") if args.depth is None else args.depth
+    return cfg["p"] if depth is None else _require_depth(depth)
 
 
 def cmd_series(args, cfg, support):
     i, j = _indices(args, support)
-    depth = args.depth or cfg.get("depth") or cfg["p"]
+    depth = _depth(args, cfg)
     gi = series_Gi(support, i, depth)
     ds = derivative_series(support, i, j, depth)
     _emit(
@@ -242,7 +260,7 @@ def cmd_series(args, cfg, support):
 def cmd_trunc(args, cfg, support):
     i, j = _indices(args, support)
     p = cfg["p"]
-    depth = args.depth or cfg.get("depth") or p
+    depth = _depth(args, cfg)
     ds = derivative_series(support, i, j, depth)
     truncated = trunc(rho_window(support.N, i), ds.poly.reduce_mod(p), p)
     report = verify_truncation_identity(support, i, j, p, depth)

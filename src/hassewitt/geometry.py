@@ -105,47 +105,88 @@ class SupportSet:
 def enumerate_representations(lifted, target):
     """All e in N^N with sum_k e_k * lifted[k] = target, lex-ascending in e.
 
-    The last coordinate of every lifted vector is 1, so the last target
-    coordinate bounds the total of the e_k; the depth-first search prunes on
-    per-coordinate reachability of the remaining budget.
+    Every lifted vector is nonnegative with last coordinate 1, so the last
+    target coordinate bounds the total of the e_k.  The residual
+    target - sum_{j<k} e_j * lifted[j] is packed into one int, one field per
+    coordinate with a guard bit on top, so subtracting a column is one int
+    subtraction and a negative coordinate shows as a cleared guard bit.  A
+    forward pass collects the residuals reachable after each prefix of
+    columns and a backward pass keeps those from which 0 is reachable; the
+    depth-first search then only expands nodes that lead to a result.
     """
     lifted = [tuple(v) for v in lifted]
     target = tuple(target)
-    if any(t < 0 for t in target):
-        return []
     N = len(lifted)
-    m = len(target)
-    # suffix_max[k][i]: largest coordinate-i entry among columns k..N-1
-    suffix_max = [[0] * m for _ in range(N + 1)]
+    for v in lifted:
+        if len(v) != len(target) or v[-1] != 1 or min(v) < 0:
+            raise ValueError(f"{v} is not a lifted exponent vector for {target}")
+    if min(target, default=0) < 0:
+        return []
+    if not any(target):
+        return [(0,) * N]  # every column is nonzero
+    # a field holds any target or column entry, with the guard bit above it;
+    # a coordinate driven negative by one column clears its guard bit and
+    # borrows nothing from the next field
+    shift = max([*target, *map(max, lifted)]).bit_length() + 1
+    guards = _pack([1 << (shift - 1)] * len(target), shift)
+    cols = [_pack(v, shift) for v in lifted]
+    zero = guards  # the all-zero residual
+    start = guards + _pack(target, shift)
+    # reach[k]: residuals after choosing e_0..e_{k-1}
+    reach = [{start}]
+    for col in cols:
+        nxt = set()
+        for r in reach[-1]:
+            while r & guards == guards:
+                nxt.add(r)
+                r -= col
+        reach.append(nxt)
+    # live[k]: residual -> [(e_k, next residual)], only for residuals at
+    # level k from which 0 is reachable through columns k..N-1
+    live = [None] * N
+    alive = {zero} & reach[N]
     for k in reversed(range(N)):
-        for i in range(m):
-            suffix_max[k][i] = max(suffix_max[k + 1][i], lifted[k][i])
+        col = cols[k]
+        level = {}
+        for r in reach[k]:
+            edges = []
+            e, s = 0, r
+            while s & guards == guards:
+                if s in alive:
+                    edges.append((e, s))
+                e += 1
+                s -= col
+            if edges:
+                level[r] = edges
+        live[k] = level
+        alive = level.keys()
+    if start not in alive:
+        return []
+    # from the zero residual only e = 0 remains, so a result is complete
+    # as soon as its residual reaches 0
     out = []
     acc = [0] * N
-
-    def rec(k, remaining):
-        if all(x == 0 for x in remaining):
-            out.append(tuple(acc) if k == N else tuple(acc[:k]) + (0,) * (N - k))
-            return
-        if k == N:
-            return
-        budget = remaining[-1]
-        if any(
-            remaining[i] > budget * suffix_max[k][i] for i in range(m)
-        ):
-            return
-        col = lifted[k]
-        emax = budget
-        for i in range(m):
-            if col[i]:
-                emax = min(emax, remaining[i] // col[i])
-        for e in range(emax + 1):
+    stack = [iter(live[0][start])]
+    k = 0
+    while True:
+        for e, s in stack[k]:
             acc[k] = e
-            rec(k + 1, tuple(r - e * c for r, c in zip(remaining, col)))
-        acc[k] = 0
+            if s == zero:
+                out.append(tuple(acc))
+            else:
+                k += 1
+                stack.append(iter(live[k][s]))
+                break
+        else:
+            acc[k] = 0
+            stack.pop()
+            if not k:
+                return out
+            k -= 1
 
-    rec(0, target)
-    return sorted(out)
+
+def _pack(vec, shift):
+    return sum(x << (i * shift) for i, x in enumerate(vec))
 
 
 def kernel_basis(lifted):

@@ -11,6 +11,7 @@ from hassewitt.algebra import (
     det_leibniz,
     factorial_table,
     find_irreducible,
+    inverse_factorial_table,
     is_prime,
     multinomial_mod_p,
 )
@@ -36,6 +37,24 @@ def test_multinomial_rejects_wrong_sum():
         multinomial_mod_p((1, 1), 5)
     with pytest.raises(ValueError):
         multinomial_mod_p((-1, 5), 5)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_multinomial_matches_factorials(p):
+    for n in range(1, 5):
+        for e in itertools.product(range(p), repeat=n):
+            if sum(e) != p - 1:
+                continue
+            exact = math.factorial(p - 1) // math.prod(math.factorial(x) for x in e)
+            assert multinomial_mod_p(e, p) == exact % p
+
+
+def test_inverse_factorial_table():
+    for p in (2, 3, 5, 7, 11, 97):
+        pairs = zip(factorial_table(p), inverse_factorial_table(p))
+        assert all(f * g % p == 1 for f, g in pairs)
+    with pytest.raises(ValueError):
+        inverse_factorial_table(4)
 
 
 def test_wilson():

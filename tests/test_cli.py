@@ -166,3 +166,59 @@ def test_extension_field_lambda(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["a"] == 2
     assert payload["rank"] in (0, 1)
+
+
+@pytest.mark.parametrize("p", ["4", "1", "0", "-3"])
+def test_non_prime_p_exit_2(capsys, p):
+    code, out, err = run_cli(capsys, "hw-symbolic", "--preset", "hesse-cubic", "--p", p)
+    assert code == 2
+    assert out == ""
+    assert "not prime" in err
+
+
+def test_non_prime_p_in_config_exit_2(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "generic-det", "--config", write_config(tmp_path, p=9))
+    assert code == 2
+    assert "not prime" in err
+
+
+@pytest.mark.parametrize("a", [0, -1])
+def test_extension_degree_below_one_exit_2(tmp_path, capsys, a):
+    path = write_config(tmp_path, a=a, **{"lambda": [1, 1, 1, 2]})
+    code, _, err = run_cli(capsys, "hw-eval", "--config", path)
+    assert code == 2
+    assert "extension degree" in err
+
+
+@pytest.mark.parametrize("command", ["series", "trunc"])
+@pytest.mark.parametrize("flag", ["--i", "--j"])
+def test_series_index_zero_exit_2(capsys, command, flag):
+    code, _, err = run_cli(
+        capsys, command, "--preset", "hesse-cubic", "--p", "5", flag, "0"
+    )
+    assert code == 2
+    assert "indices" in err
+
+
+@pytest.mark.parametrize("command", ["series", "trunc"])
+def test_depth_zero_exit_2(capsys, command):
+    code, _, err = run_cli(
+        capsys, command, "--preset", "hesse-cubic", "--p", "5", "--depth", "0"
+    )
+    assert code == 2
+    assert "depth" in err
+
+
+def test_config_depth_zero_exit_2(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "verify", "--config", write_config(tmp_path, depth=0))
+    assert code == 2
+    assert "depth" in err
+
+
+def test_j_defaults_to_i(capsys):
+    code, out, _ = run_cli(
+        capsys, "series", "--preset", "quartic-full", "--p", "3", "--i", "2", "--depth", "1"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["i"], payload["j"]) == (2, 2)

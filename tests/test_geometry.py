@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -92,27 +93,25 @@ def test_representations_fermat_empty():
     assert enumerate_representations(lifted, (4, 4, 4, 4)) == []
 
 
-def brute_force_representations(lifted, target, p):
+def brute_force_table(lifted, p):
+    """image -> sorted list of every e with sum(e) = p-1 mapping to it."""
     N = len(lifted)
-    out = []
-    for e in itertools.product(range(p), repeat=N):
-        if sum(e) != p - 1:
-            continue
-        ok = all(
-            sum(ek * v[i] for ek, v in zip(e, lifted)) == t
-            for i, t in enumerate(target)
+    table = {}
+    for picks in itertools.combinations_with_replacement(range(N), p - 1):
+        e = tuple(picks.count(k) for k in range(N))
+        image = tuple(
+            sum(ek * v[i] for ek, v in zip(e, lifted)) for i in range(len(lifted[0]))
         )
-        if ok:
-            out.append(e)
-    return sorted(out)
+        table.setdefault(image, []).append(e)
+    return {image: sorted(es) for image, es in table.items()}
 
 
 def test_representations_completeness_random():
     rng = random.Random(99)
     for _ in range(30):
-        p = rng.choice([2, 3, 5])
-        n = rng.choice([1, 2])
-        d = n + 1 + rng.randint(0, 1)
+        p = rng.choice([2, 3, 5, 7])
+        n = rng.choice([1, 2, 3])
+        d = n + 1 + rng.randint(0, 2)
         monos = sorted(
             {
                 tuple(v)
@@ -127,8 +126,52 @@ def test_representations_completeness_random():
         target = tuple(
             p * a - b for a, b in zip(tuple(u) + (1,), tuple(v) + (1,))
         )
-        got = enumerate_representations(lifted, target)
-        assert got == brute_force_representations(lifted, target, p)
+        table = brute_force_table(lifted, p)
+        assert enumerate_representations(lifted, target) == table.get(target, [])
+        # every image the brute force reaches, in the same (lex) order
+        for image, expected in table.items():
+            assert enumerate_representations(lifted, image) == expected
+
+
+@pytest.mark.parametrize("preset", ["quartic", "quintic"])
+def test_representations_match_brute_force_presets(preset, request):
+    s = request.getfixturevalue(preset)
+    p = 5
+    table = brute_force_table(s.lifted, p)
+    labels = s.interior_set()
+    for u in labels:
+        for v in labels:
+            target = tuple(p * a - b for a, b in zip(u + (1,), v + (1,)))
+            assert enumerate_representations(s.lifted, target) == table.get(target, [])
+
+
+def test_representations_zero_target():
+    lifted = lift(HESSE_RAW)
+    assert enumerate_representations(lifted, (0, 0, 0, 0)) == [(0, 0, 0, 0)]
+    assert enumerate_representations([], (0, 0)) == [()]
+    assert enumerate_representations([], (1, 1)) == []
+
+
+def test_representations_reject_unlifted_vectors():
+    with pytest.raises(ValueError):
+        enumerate_representations([(3, 0, 0)], (3, 0, 0))  # last entry not 1
+    with pytest.raises(ValueError):
+        enumerate_representations([(3, -1, 1, 1)], (3, 0, 0, 1))
+    with pytest.raises(ValueError):
+        enumerate_representations(lift(HESSE_RAW), (3, 0, 1))  # wrong length
+
+
+def test_representations_leave_no_reference_cycles(quartic):
+    p = 7
+    u, v = quartic.interior_set()[0], quartic.interior_set()[-1]
+    target = tuple(p * a - b for a, b in zip(u + (1,), v + (1,)))
+    gc.collect()
+    gc.disable()
+    try:
+        assert enumerate_representations(quartic.lifted, target)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _random_composition(rng, total, parts):

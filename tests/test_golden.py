@@ -1,0 +1,54 @@
+"""Golden outputs: the canonical stdout of the CLI must stay byte-identical
+through refactors, apart from the ``seconds`` timing fields.
+
+Each case is pinned as the sha256 of the CLI's stdout after every
+``seconds`` field is removed and the JSON is re-serialised in the CLI's own
+canonical form (``indent=2, sort_keys=True``).
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from hassewitt.cli import main
+
+
+def _strip_seconds(obj):
+    if isinstance(obj, dict):
+        return {k: _strip_seconds(v) for k, v in obj.items() if k != "seconds"}
+    if isinstance(obj, list):
+        return [_strip_seconds(v) for v in obj]
+    return obj
+
+
+def canonical_digest(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr().out
+    text = json.dumps(_strip_seconds(json.loads(out)), indent=2, sort_keys=True)
+    return code, hashlib.sha256(text.encode()).hexdigest()
+
+
+# (subcommand, preset, p) -> (exit code, sha256 of canonical stdout)
+GOLDEN = {
+    ("hw-symbolic", "fermat-cubic", 3): (0, "47fc2d8d73e59c8fedd86a925ef7302c69850821cce182a42557a7d3bf0b604e"),
+    ("hw-symbolic", "fermat-cubic", 5): (0, "c7a8f336fdf4bc32bcabb1cd200f0e63b532d1fc811c8f10b718ed1c04ad78f2"),
+    ("hw-symbolic", "fermat-cubic", 7): (0, "ba06368da0f14069fb27cb844709d2d7080cb34d58b4645a59a73de91f49a75b"),
+    ("hw-symbolic", "hesse-cubic", 3): (0, "d135df77ab29590763d85a32702a5ca261402ecbfea6999c407ce79291966930"),
+    ("hw-symbolic", "hesse-cubic", 5): (0, "917424c3003da8525712a30fe3fab4078926a1fe1ab3935edae9ebb63823fa15"),
+    ("hw-symbolic", "hesse-cubic", 7): (0, "9d9bde8b5d35865d1da0ed7f744744420da25f1967a393a2aa3dcf838e6779a9"),
+    ("hw-symbolic", "quartic-full", 3): (0, "9afef562e6d331a269a4dceb271b93ab068fcc6ef03a8652cb9d60dc5adb4b2a"),
+    ("hw-symbolic", "quartic-full", 5): (0, "81032b188714ed11fd032b4e911c35a776278905eba4b8527c45c822bd83dedf"),
+    ("hw-symbolic", "quartic-full", 7): (0, "a5cbc4e2530ac50dbafb62dcfdb88efa062a7b8ec2ef61dbc6de0dde9e68716a"),
+    ("hw-symbolic", "quintic-full", 3): (0, "5df71b8b480e9cf608a5e9557be7ae54eac0f94cb9c9bec2949b8e22f386a424"),
+    ("hw-symbolic", "quintic-full", 5): (0, "b104f44b2e88511c045cc60ba6a70efe15cee33a43ba3a31fe7702108c2cf122"),
+    ("hw-symbolic", "quintic-full", 7): (0, "64e183a24b961ae17981cabfd0e89f34532db47d1fd7ca67bc6a37f938b1300d"),
+    ("generic-det", "hesse-cubic", 5): (0, "a4829b0b1f2cec7dd1fc5aab1ab77870413c277be53c2045a62778847c2f818f"),
+    ("generic-det", "quartic-full", 5): (0, "3e5f2bb6401a1cfa12a70a6faf41ae351f9228305927cb56c14c254f0af29445"),
+}
+
+
+@pytest.mark.parametrize("command,preset,p", sorted(GOLDEN))
+def test_golden_output(capsys, command, preset, p):
+    argv = [command, "--preset", preset, "--p", str(p)]
+    assert canonical_digest(capsys, argv) == GOLDEN[(command, preset, p)]
