@@ -272,21 +272,12 @@ class SparseLaurentPoly:
     def evaluate(self, point, field):
         """Substitute variable k -> point[k] (elements of ``field``).
 
-        Negative exponents are handled via field inversion, so substituting
-        0 for a variable that appears with negative exponent raises.
+        Specializes every variable but the first, then evaluates the
+        resulting Laurent polynomial at point[0].  Negative exponents are
+        handled via field inversion, so substituting 0 for a variable that
+        appears with negative exponent raises ZeroDivisionError.
         """
-        if len(point) != self.nvars:
-            raise ValueError("point has wrong length")
-        if self.modulus is not None and field.p != self.modulus:
-            raise ValueError("field characteristic does not match modulus")
-        acc = field.zero()
-        for exp, c in self.sorted_terms():
-            val = field.from_int(c)
-            for x, e in zip(point, exp):
-                if e:
-                    val = val * x**e
-            acc = acc + val
-        return acc
+        return evaluate_laurent(specialize(self, point, 0, field), point[0], field)
 
     def canonical_str(self) -> str:
         """Canonical text form ``c*L1^e1*...*LN^eN + ...``, lex term order."""
@@ -297,6 +288,67 @@ class SparseLaurentPoly:
 
     def __repr__(self):
         return f"<SparseLaurentPoly {self.canonical_str()} (mod {self.modulus})>"
+
+
+def specialize(poly, point, k, field):
+    """Substitute point[j] (elements of ``field``) for every variable x_j of
+    ``poly`` except x_k, and return the Laurent coefficients in x_k as a dict
+    from exponent to element of ``field``.
+
+    Every x_k exponent of the support is a key, even where its coefficient
+    cancels to zero, so that evaluate_laurent still refuses x_k = 0 when a
+    term has a negative x_k exponent.  The powers of each fixed coordinate
+    come from one table per call, built by repeated multiplication; a 0
+    substituted into a variable with a negative exponent raises
+    ZeroDivisionError.
+    """
+    if len(point) != poly.nvars:
+        raise ValueError("point has wrong length")
+    if poly.modulus is not None and field.p != poly.modulus:
+        raise ValueError("field characteristic does not match modulus")
+    if not 0 <= k < poly.nvars:
+        raise ValueError(f"variable index {k} out of range for {poly.nvars} variables")
+    if not poly.terms:
+        return {}
+    powers = [
+        _power_table(x, min(col), max(col), field) if j != k else None
+        for j, (x, col) in enumerate(zip(point, zip(*poly.terms)))
+    ]
+    out = {}
+    for exp, c in poly.terms.items():
+        val = field.from_int(c)
+        for j, e in enumerate(exp):
+            if e and j != k:
+                val = val * powers[j][e]
+        e = exp[k]
+        out[e] = out[e] + val if e in out else val
+    return out
+
+
+def _power_table(x, lo, hi, field):
+    """{e: x**e} for every e from min(lo, 0) to max(hi, 0)."""
+    table = {0: field.one()}
+    for e in range(1, hi + 1):
+        table[e] = table[e - 1] * x
+    if lo < 0:
+        inv = x.inverse()
+        for e in range(-1, lo - 1, -1):
+            table[e] = table[e + 1] * inv
+    return table
+
+
+def evaluate_laurent(coeffs, x, field):
+    """Value at x of the Laurent polynomial sum_e coeffs[e] * x**e (a dict as
+    returned by specialize), by Horner's rule.  A negative exponent with
+    x = 0 raises ZeroDivisionError from the final x**lo."""
+    if not coeffs:
+        return field.zero()
+    lo, hi = min(coeffs), max(coeffs)
+    zero = field.zero()
+    acc = coeffs[hi]
+    for e in range(hi - 1, lo - 1, -1):
+        acc = acc * x + coeffs.get(e, zero)
+    return acc * x**lo if lo else acc
 
 
 def det_leibniz(mat, bound=8) -> SparseLaurentPoly:
@@ -440,12 +492,6 @@ class ExtensionField:
 
     def one(self):
         return self.element([1])
-
-    def gen(self):
-        if self.a == 1:
-            # degenerate extension: the canonical modulus is t, so t = 0
-            return self.zero()
-        return self.element([0, 1])
 
     def elements(self):
         """All q elements, in lexicographic coefficient order."""

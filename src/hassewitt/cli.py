@@ -21,6 +21,7 @@ from .hasse_witt import (
     HypothesisViolation,
     evaluate_matrix,
     generic_det_check,
+    sweep_ranks,
     symbolic_matrix,
 )
 from .hypergeometric import (
@@ -91,14 +92,21 @@ def load_config(args) -> dict:
     for key in ("n", "d", "p", "a", "seed"):
         if not isinstance(cfg.get(key), int):
             raise ConfigError(f"config field {key!r} must be an integer")
+    if cfg["n"] < 1:
+        raise ConfigError(f"dimension n = {cfg['n']} must be >= 1")
     if not is_prime(cfg["p"]):
         raise ConfigError(f"p = {cfg['p']} is not prime")
     if cfg["a"] < 1:
         raise ConfigError(f"extension degree a = {cfg['a']} must be >= 1")
     if cfg.get("depth") is not None:
         _require_depth(cfg["depth"])
-    if "exponents" not in cfg or not cfg["exponents"]:
-        raise ConfigError("config field 'exponents' must be a nonempty list")
+    exponents = cfg.get("exponents")
+    if not isinstance(exponents, list) or not exponents or not all(
+        isinstance(a, list) and all(isinstance(x, int) for x in a) for a in exponents
+    ):
+        raise ConfigError(
+            "config field 'exponents' must be a nonempty list of integer lists"
+        )
     return cfg
 
 
@@ -115,6 +123,8 @@ def parse_lambda(cfg, support: SupportSet):
     raw = cfg.get("lambda")
     if raw is None:
         raise ConfigError("this command needs a 'lambda' entry in the config")
+    if not isinstance(raw, list):
+        raise ConfigError("'lambda' must be a list of field elements")
     if len(raw) != support.N:
         raise ConfigError(
             f"'lambda' has {len(raw)} entries, support has {support.N}"
@@ -161,27 +171,31 @@ def cmd_hw_symbolic(args, cfg, support):
     return 0
 
 
+def _sweep_index(sweep, support):
+    """Internal index of the coordinate named by --sweep k=INDEX (1-based,
+    input order)."""
+    try:
+        key, idx = sweep.split("=")
+        if key != "k":
+            raise ValueError
+        idx = int(idx) - 1
+    except ValueError:
+        raise ConfigError("--sweep expects k=INDEX (1-based)")
+    if not 0 <= idx < support.N:
+        raise ConfigError(f"sweep index out of range 1..{support.N}")
+    return support.input_order.index(idx)
+
+
 def cmd_hw_eval(args, cfg, support):
     point, field = parse_lambda(cfg, support)
+    k = _sweep_index(args.sweep, support) if args.sweep else None
     A = symbolic_matrix(support, cfg["p"])
-    if args.sweep:
-        try:
-            key, idx = args.sweep.split("=")
-            if key != "k":
-                raise ValueError
-            idx = int(idx) - 1
-        except ValueError:
-            raise ConfigError("--sweep expects k=INDEX (1-based)")
-        if not 0 <= idx < support.N:
-            raise ConfigError(f"sweep index out of range 1..{support.N}")
-        internal = support.input_order.index(idx)
-        lines = ["lambda_k,rank"]
-        for val in field.elements():
-            pt = list(point)
-            pt[internal] = val
-            ev = evaluate_matrix(A, pt, field)
-            lines.append(f"{val.canonical_str()},{ev.rank}")
-        text = "\n".join(lines)
+    if k is not None:
+        ranks = sweep_ranks(A, point, k, field)
+        text = "\n".join(
+            ["lambda_k,rank"]
+            + [f"{x.canonical_str()},{r}" for x, r in zip(field.elements(), ranks)]
+        )
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")
@@ -325,8 +339,6 @@ def build_parser():
         sp.add_argument("--preset", choices=sorted(PRESETS))
         sp.add_argument("--p", type=int, help="override the prime")
         sp.add_argument("--out", help="also write the report to this file")
-        sp.add_argument("--jobs", type=int, default=1, help="accepted for "
-                        "compatibility; computations run sequentially")
         if name in ("series", "trunc"):
             sp.add_argument("--i", type=int)
             sp.add_argument("--j", type=int)

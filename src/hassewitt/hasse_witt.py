@@ -1,7 +1,7 @@
 """The symbolic Hasse-Witt matrix of a sparse hypersurface family, its
 row/column rescaling with unit constant terms on the diagonal, generic
-invertibility of the determinant, evaluation at points over GF(q), and an
-independent dense-expansion oracle.
+invertibility of the determinant, evaluation at points over GF(q), rank
+sweeps along one coordinate, and an independent dense-expansion oracle.
 
 Entry (u, v) is the coefficient of x^{p*u - v} in f^{p-1}, where f is the
 family with one indeterminate coefficient per support monomial; it is
@@ -18,7 +18,9 @@ from .algebra import (
     ExtensionField,
     SparseLaurentPoly,
     det_leibniz,
+    evaluate_laurent,
     multinomial_mod_p,
+    specialize,
 )
 from .geometry import (
     SupportSet,
@@ -203,9 +205,7 @@ def matrix_rank(rows):
     return rank
 
 
-def evaluate_matrix(A: HWMatrixSymbolic, point, field: ExtensionField) -> HWMatrixEvaluated:
-    """Substitute the specialization point into every entry and report the
-    rank of the resulting matrix over GF(q)."""
+def _check_point(A: HWMatrixSymbolic, point, field: ExtensionField):
     if field.p != A.p:
         raise ValueError(
             f"field characteristic {field.p} does not match matrix prime {A.p}"
@@ -213,12 +213,43 @@ def evaluate_matrix(A: HWMatrixSymbolic, point, field: ExtensionField) -> HWMatr
     point = tuple(point)
     if len(point) != A.support.N:
         raise ValueError("specialization point has wrong length")
+    return point
+
+
+def evaluate_matrix(A: HWMatrixSymbolic, point, field: ExtensionField) -> HWMatrixEvaluated:
+    """Substitute the specialization point into every entry and report the
+    rank of the resulting matrix over GF(q)."""
+    point = _check_point(A, point, field)
     entries = tuple(
         tuple(poly.evaluate(point, field) for poly in row) for row in A.entries
     )
     return HWMatrixEvaluated(
         p=A.p, a=field.a, point=point, entries=entries, rank=matrix_rank(entries)
     )
+
+
+def sweep_ranks(A: HWMatrixSymbolic, point, k, field: ExtensionField):
+    """Ranks of A at ``point`` with coordinate k replaced by each element of
+    ``field``, in the order of ``field.elements()``.
+
+    Every entry is specialized once to a Laurent polynomial in x_k, then
+    evaluated by Horner's rule at each element, so a sweep costs about
+    terms*N + q*m^2*p field multiplications rather than q*terms*N.  As a
+    witness, the specialized entries at the base value point[k] must equal
+    evaluate_matrix at ``point``, which leaves coordinate 0 free instead of
+    k; a mismatch raises, since it would mean the substitution is broken.
+    """
+    point = _check_point(A, point, field)
+    special = [[specialize(poly, point, k, field) for poly in row] for row in A.entries]
+    at_base = tuple(
+        tuple(evaluate_laurent(c, point[k], field) for c in row) for row in special
+    )
+    if at_base != evaluate_matrix(A, point, field).entries:
+        raise RuntimeError("specialized entries disagree with evaluate_matrix")
+    return [
+        matrix_rank([[evaluate_laurent(c, x, field) for c in row] for row in special])
+        for x in field.elements()
+    ]
 
 
 def oracle_dense_coefficient(support: SupportSet, point, p, u, v, field=None):

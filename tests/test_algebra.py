@@ -9,11 +9,13 @@ from hassewitt.algebra import (
     PrimeFieldElement,
     SparseLaurentPoly,
     det_leibniz,
+    evaluate_laurent,
     factorial_table,
     find_irreducible,
     inverse_factorial_table,
     is_prime,
     multinomial_mod_p,
+    specialize,
 )
 
 P = SparseLaurentPoly
@@ -201,13 +203,83 @@ def test_det_bound():
         det_leibniz(mat)
 
 
+# -- specialization ------------------------------------------------------------
+
+
+def naive_evaluate(f, point, field):
+    """Reference: substitute every variable term by term, x**e per factor."""
+    acc = field.zero()
+    for exp, c in f.terms.items():
+        val = field.from_int(c)
+        for x, e in zip(point, exp):
+            val = val * x**e
+        acc = acc + val
+    return acc
+
+
+def test_specialize_then_horner_matches_evaluate_random():
+    rng = random.Random(20261018)
+    raised = 0
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7])
+        F = ExtensionField(p, rng.choice([1, 2, 3] if p < 5 else [1, 2]))
+        pool = list(F.elements())
+        nvars = rng.randint(1, 4)
+        f = random_poly(rng, nvars, p, nterms=rng.randint(0, 8))
+        point = tuple(rng.choice(pool) for _ in range(nvars))
+        try:
+            expected = naive_evaluate(f, point, F)
+        except ZeroDivisionError:
+            raised += 1
+            with pytest.raises(ZeroDivisionError):
+                f.evaluate(point, F)
+            for k in range(nvars):
+                with pytest.raises(ZeroDivisionError):
+                    evaluate_laurent(specialize(f, point, k, F), point[k], F)
+            continue
+        assert f.evaluate(point, F) == expected
+        for k in range(nvars):
+            coeffs = specialize(f, point, k, F)
+            assert {e[k] for e in f.terms} == set(coeffs)
+            assert evaluate_laurent(coeffs, point[k], F) == expected
+    assert raised > 0
+
+
+def test_specialize_zero_into_negative_exponent_raises():
+    F = ExtensionField(3, 2)
+    zero, one = F.zero(), F.one()
+    f = mono((-1, 1, 0), p=3) + mono((-1, 0, 1), 2, p=3)  # x0^-1 (x1 - x2)
+    # the fixed coordinate x0 is 0
+    with pytest.raises(ZeroDivisionError):
+        specialize(f, (zero, one, one), 1, F)
+    # x_k = 0 where its coefficient at x_k^-1 cancels to zero: still refused
+    coeffs = specialize(f, (zero, one, one), 0, F)
+    assert coeffs == {-1: zero}
+    with pytest.raises(ZeroDivisionError):
+        evaluate_laurent(coeffs, zero, F)
+    with pytest.raises(ZeroDivisionError):
+        f.evaluate((zero, one, one), F)
+
+
+def test_specialize_rejects_bad_arguments():
+    F = ExtensionField(5, 1)
+    f = mono((1, 2), p=5)
+    point = (F.one(), F.one())
+    with pytest.raises(ValueError):
+        specialize(f, point[:1], 0, F)
+    with pytest.raises(ValueError):
+        specialize(f, point, 2, F)
+    with pytest.raises(ValueError):
+        specialize(f, (ExtensionField(3, 1).one(),) * 2, 0, ExtensionField(3, 1))
+
+
 # -- extension fields ---------------------------------------------------------
 
 
 def test_gf4_arithmetic():
     F = ExtensionField(2, 2)
     assert F.modulus == (1, 1, 1)  # t^2 + t + 1
-    t = F.gen()
+    t = F.element([0, 1])
     one = F.one()
     assert t * (t + one) == one
     assert t.inverse() == t + one

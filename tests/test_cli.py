@@ -222,3 +222,29 @@ def test_j_defaults_to_i(capsys):
     assert code == 0
     payload = json.loads(out)
     assert (payload["i"], payload["j"]) == (2, 2)
+
+
+def test_flat_exponents_exit_2(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "hw-symbolic", "--config", write_config(tmp_path, exponents=[3, 0, 0])
+    )
+    assert code == 2
+    assert out == ""
+    assert "exponents" in err
+
+
+def test_scalar_lambda_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path, **{"lambda": 5})
+    code, out, err = run_cli(capsys, "hw-eval", "--config", path)
+    assert code == 2
+    assert out == ""
+    assert "lambda" in err
+
+
+@pytest.mark.parametrize("n,d,exponents", [(0, 1, [[1]]), (-1, 0, [[]])])
+def test_dimension_below_one_exit_2(tmp_path, capsys, n, d, exponents):
+    path = write_config(tmp_path, n=n, d=d, exponents=exponents)
+    code, out, err = run_cli(capsys, "hw-symbolic", "--config", path)
+    assert code == 2
+    assert out == ""
+    assert "dimension" in err

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from hassewitt.cli import main
+from hassewitt.cli import PRESETS, main
 
 
 def _strip_seconds(obj):
@@ -52,3 +52,39 @@ GOLDEN = {
 def test_golden_output(capsys, command, preset, p):
     argv = [command, "--preset", preset, "--p", str(p)]
     assert canonical_digest(capsys, argv) == GOLDEN[(command, preset, p)]
+
+
+# hw-eval cases, pinned as the sha256 of the raw stdout (the sweep prints CSV,
+# and the single-point report has no timing field): name -> (preset, p, a,
+# lambda in input order, extra CLI args, exit code, sha256 of stdout).
+HW_EVAL_GOLDEN = {
+    "sweep-hesse-gf25-k4": (
+        "hesse-cubic", 5, 2, ["1,1", "2,0", "3,4", "0,0"], ["--sweep", "k=4"],
+        0, "fed75e6edd640c1338eb57fc2d6f4e2be723ea0ac212916786081d0538ca43e1",
+    ),
+    # bench/workloads.py's sweep-quartic-gf49 point at seed 0; rank 2 at 1,2
+    "sweep-quartic-gf49-k1": (
+        "quartic-full", 7, 2,
+        ["6,3", "6,3", "0,2", "4,3", "3,6", "6,2", "3,2", "4,1", "4,1", "2,1",
+         "6,0", "4,6", "2,4", "5,6", "4,1"],
+        ["--sweep", "k=1"],
+        0, "76d78a1d06162c1c8df477aabcf3e0554e5063590bcb8f329b2d3dcc654421d3",
+    ),
+    "point-quartic-gf9": (
+        "quartic-full", 3, 2,
+        ["1,2", "0,1", "2,0", "1,1", "0,0", "2,2", "1,0", "0,2", "2,1", "1,2",
+         "2,0", "0,1", "1,1", "2,2", "1,0"],
+        [],
+        0, "a38caae1bbc57b65c37d166750786e0bfcfaf63207aadac009f47b41d1bf00f5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HW_EVAL_GOLDEN))
+def test_golden_hw_eval(tmp_path, capsys, name):
+    preset, p, a, lam, extra, code, digest = HW_EVAL_GOLDEN[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(PRESETS[preset], p=p, a=a, **{"lambda": lam})))
+    assert main(["hw-eval", "--config", str(path)] + extra) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

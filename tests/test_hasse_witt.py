@@ -13,6 +13,7 @@ from hassewitt.hasse_witt import (
     scaled_matrix,
     symbolic_entry,
     symbolic_matrix,
+    sweep_ranks,
 )
 
 U111 = (1, 1, 1)
@@ -228,3 +229,84 @@ def test_oracle_equivalence_random():
                 assert ev.entries[i][j] == expected
                 checked += 1
     assert checked >= 100
+
+
+# -- rank sweeps ----------------------------------------------------------------------
+
+
+def _det(rows):
+    """Laplace expansion along the first row of a nonempty square matrix."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = None
+    for j, x in enumerate(rows[0]):
+        minor = _det([r[:j] + r[j + 1:] for r in rows[1:]])
+        term = x * minor
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _rank_by_minors(rows):
+    """Largest r with a nonzero r x r minor; shares no code with matrix_rank."""
+    import itertools
+
+    m = len(rows)
+    for r in range(m, 0, -1):
+        for rs in itertools.combinations(range(m), r):
+            for cs in itertools.combinations(range(m), r):
+                if _det([[rows[i][j] for j in cs] for i in rs]):
+                    return r
+    return 0
+
+
+@pytest.mark.parametrize(
+    "family,p,a,ks",
+    [("hesse", 5, 2, (0, 1, 2, 3)), ("quartic", 3, 2, (0, 2, 3, 14))],
+)
+def test_sweep_ranks_match_dense_oracle(request, family, p, a, ks):
+    support = request.getfixturevalue(family)
+    field = ExtensionField(p, a)
+    pool = list(field.elements())
+    rng = random.Random(f"sweep-{family}")
+    A = symbolic_matrix(support, p)
+    for k in ks:
+        base = [rng.choice(pool) for _ in range(support.N)]
+        ranks = sweep_ranks(A, base, k, field)
+        assert len(ranks) == field.q
+        for x, rank in zip(field.elements(), ranks):
+            point = tuple(x if j == k else base[j] for j in range(support.N))
+            dense = [
+                [oracle_dense_coefficient(support, point, p, u, v, field) for v in A.labels]
+                for u in A.labels
+            ]
+            assert rank == _rank_by_minors(dense)
+
+
+def test_sweep_ranks_checks_point(hesse):
+    A = symbolic_matrix(hesse, 5)
+    F = ExtensionField(3, 1)
+    with pytest.raises(ValueError):
+        sweep_ranks(A, _point(F, [1, 1, 1, 1]), 0, F)
+    F5 = ExtensionField(5, 1)
+    with pytest.raises(ValueError):
+        sweep_ranks(A, _point(F5, [1, 1, 1]), 0, F5)
+
+
+def test_sweep_ranks_witness_catches_broken_specialization(hesse, monkeypatch):
+    import hassewitt.hasse_witt as hw
+
+    F = ExtensionField(5, 2)
+    A = symbolic_matrix(hesse, 5)
+    point = _point(F, [2, 1, 1, 1])
+    real = hw.specialize
+
+    def off_by_one(poly, point, k, field):
+        coeffs = real(poly, point, k, field)
+        coeffs[0] = coeffs.get(0, field.zero()) + field.one()
+        return coeffs
+
+    monkeypatch.setattr(hw, "specialize", off_by_one)
+    with pytest.raises(RuntimeError):
+        sweep_ranks(A, point, 1, F)
