@@ -71,6 +71,11 @@ class ConfigError(Exception):
     pass
 
 
+def _is_int(x):
+    """An integer, and not JSON true/false (bool subclasses int)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_config(args) -> dict:
     if args.preset:
         cfg = {k: v for k, v in PRESETS[args.preset].items()}
@@ -90,7 +95,7 @@ def load_config(args) -> dict:
     cfg.setdefault("a", 1)
     cfg.setdefault("seed", 0)
     for key in ("n", "d", "p", "a", "seed"):
-        if not isinstance(cfg.get(key), int):
+        if not _is_int(cfg.get(key)):
             raise ConfigError(f"config field {key!r} must be an integer")
     if cfg["n"] < 1:
         raise ConfigError(f"dimension n = {cfg['n']} must be >= 1")
@@ -100,9 +105,12 @@ def load_config(args) -> dict:
         raise ConfigError(f"extension degree a = {cfg['a']} must be >= 1")
     if cfg.get("depth") is not None:
         _require_depth(cfg["depth"])
+    box_bound = cfg.get("box_bound")
+    if box_bound is not None and not (_is_int(box_bound) and box_bound >= 1):
+        raise ConfigError(f"box_bound must be an integer >= 1, got {box_bound!r}")
     exponents = cfg.get("exponents")
     if not isinstance(exponents, list) or not exponents or not all(
-        isinstance(a, list) and all(isinstance(x, int) for x in a) for a in exponents
+        isinstance(a, list) and all(_is_int(x) for x in a) for a in exponents
     ):
         raise ConfigError(
             "config field 'exponents' must be a nonempty list of integer lists"
@@ -132,7 +140,7 @@ def parse_lambda(cfg, support: SupportSet):
     field = ExtensionField(cfg["p"], cfg["a"])
     parsed = []
     for item in raw:
-        if isinstance(item, int):
+        if _is_int(item):
             parsed.append(field.from_int(item))
         elif isinstance(item, str):
             try:
@@ -242,7 +250,7 @@ def _indices(args, support):
 
 
 def _require_depth(depth):
-    if not isinstance(depth, int) or depth < 1:
+    if not _is_int(depth) or depth < 1:
         raise ConfigError(f"depth must be an integer >= 1, got {depth!r}")
     return depth
 
@@ -275,6 +283,11 @@ def cmd_trunc(args, cfg, support):
     i, j = _indices(args, support)
     p = cfg["p"]
     depth = _depth(args, cfg)
+    if depth < p:
+        raise ConfigError(
+            f"trunc needs depth >= p = {p}: the window holds series terms "
+            f"with -l_i up to p, got depth {depth}"
+        )
     ds = derivative_series(support, i, j, depth)
     truncated = trunc(rho_window(support.N, i), ds.poly.reduce_mod(p), p)
     report = verify_truncation_identity(support, i, j, p, depth)

@@ -11,6 +11,8 @@ as specialization points can be permuted to match.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -254,10 +256,28 @@ def enumerate_Li(lifted, i, depth):
 
 
 def is_relation(lifted, l):
-    m = len(lifted[0])
-    return all(
-        sum(lk * v[i] for lk, v in zip(l, lifted)) == 0 for i in range(m)
-    )
+    """True iff sum_k l_k * lifted[k] = 0, decided by one packed dot product.
+
+    With every column packed into an int of base-2**w fields, the dot
+    product is sum_i s_i * 2**(i*w) for the coordinate sums s_i.  The fields
+    are wide enough that every |s_i| < 2**w, and such a sum is 0 only when
+    every s_i is.
+    """
+    lifted = tuple(map(tuple, lifted))
+    if len(l) != len(lifted):
+        return False
+    cols = _packed_columns(lifted, sum(map(abs, l)).bit_length())
+    return sum(map(operator.mul, l, cols)) == 0
+
+
+@functools.lru_cache(maxsize=16)
+def _packed_columns(lifted, scale):
+    """The columns packed with one field per coordinate, wide enough for
+    |sum_k l_k * lifted[k][i]| <= sum_k |l_k| * max|entry| whenever
+    sum_k |l_k| < 2**scale."""
+    top = max(abs(x) for v in lifted for x in v)
+    shift = top.bit_length() + scale + 1
+    return tuple(_pack(v, shift) for v in lifted)
 
 
 def in_Li(lifted, i, l):

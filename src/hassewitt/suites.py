@@ -7,6 +7,7 @@ deterministic given (support, p, seed).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -42,11 +43,14 @@ PROP_2_9_FULL_LIMIT = 10**5
 PROP_2_9_SAMPLE = 10**4
 
 
+@functools.lru_cache(maxsize=1)
 def _box_relations(support: SupportSet, box_bound=None, max_results=2000):
+    """The box relations shared by suites 3.4, 3.7 and 3.11, built once per
+    (support, bound)."""
     lifted = support.lifted
     if box_bound is None:
         box_bound = default_box_bound(lifted)
-    return enumerate_box_relations(lifted, box_bound, max_results=max_results)
+    return tuple(enumerate_box_relations(lifted, box_bound, max_results=max_results))
 
 
 def suite_2_7(support: SupportSet, p, **_):

@@ -248,3 +248,87 @@ def test_dimension_below_one_exit_2(tmp_path, capsys, n, d, exponents):
     assert code == 2
     assert out == ""
     assert "dimension" in err
+
+
+@pytest.mark.parametrize("depth", ["1", "2"])
+def test_trunc_depth_below_p_exit_2(capsys, depth):
+    # the rho window holds series terms with -l_i up to p = 3
+    code, out, err = run_cli(
+        capsys, "trunc", "--preset", "quartic-full", "--p", "3",
+        "--i", "1", "--j", "2", "--depth", depth,
+    )
+    assert code == 2
+    assert out == ""
+    assert "depth" in err
+
+
+@pytest.mark.parametrize("depth", ["3", "4"])
+def test_trunc_depth_at_least_p_passes(capsys, depth):
+    code, out, _ = run_cli(
+        capsys, "trunc", "--preset", "quartic-full", "--p", "3",
+        "--i", "1", "--j", "2", "--depth", depth,
+    )
+    assert code == 0
+    assert json.loads(out)["prop_3_8"]["passed"]
+
+
+def test_trunc_config_depth_below_p_exit_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "trunc", "--config", write_config(tmp_path, depth=4))
+    assert code == 2
+    assert out == ""
+    assert "depth" in err
+
+
+@pytest.mark.parametrize("depth", ["1", "2"])
+def test_series_accepts_depth_below_p(capsys, depth):
+    code, out, _ = run_cli(
+        capsys, "series", "--preset", "quartic-full", "--p", "3",
+        "--i", "1", "--j", "2", "--depth", depth,
+    )
+    assert code == 0
+    assert json.loads(out)["depth"] == int(depth)
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("field", ["p", "a", "n", "d", "seed", "depth", "box_bound"])
+def test_boolean_integer_field_exit_2(tmp_path, capsys, field, value):
+    path = write_config(tmp_path, **{field: value})
+    code, out, err = run_cli(capsys, "verify", "--config", path, "--suite", "2.8")
+    assert code == 2
+    assert out == ""
+    assert field in err
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_exponent_entry_exit_2(tmp_path, capsys, value):
+    exponents = [[3, 0, 0], [0, 3, 0], [0, 0, 3], [1, 1, value]]
+    code, out, err = run_cli(
+        capsys, "hw-symbolic", "--config", write_config(tmp_path, exponents=exponents)
+    )
+    assert code == 2
+    assert out == ""
+    assert "exponents" in err
+
+
+def test_boolean_lambda_entry_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path, **{"lambda": [1, 1, True, 2]})
+    code, out, err = run_cli(capsys, "hw-eval", "--config", path)
+    assert code == 2
+    assert out == ""
+    assert "field element" in err
+
+
+@pytest.mark.parametrize("box_bound", [0, -1, "3"])
+def test_bad_box_bound_exit_2(tmp_path, capsys, box_bound):
+    path = write_config(tmp_path, box_bound=box_bound)
+    code, out, err = run_cli(capsys, "verify", "--config", path, "--suite", "3.11")
+    assert code == 2
+    assert out == ""
+    assert "box_bound" in err
+
+
+def test_box_bound_in_config_is_used(tmp_path, capsys):
+    path = write_config(tmp_path, box_bound=6)
+    code, out, _ = run_cli(capsys, "verify", "--config", path, "--suite", "3.11")
+    assert code == 0
+    assert json.loads(out)["reports"][0]["witnesses"]["relations_checked"] == 2

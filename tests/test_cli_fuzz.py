@@ -93,7 +93,7 @@ CONFIG = st.one_of(well_formed_config(), DAMAGED_CONFIG, MALFORMED_CONFIG)
 COMMAND = st.one_of(
     st.sampled_from(
         [["hw-symbolic"], ["hw-eval"], ["generic-det"], ["series", "--depth", "1"],
-         ["trunc", "--depth", "1"], ["oracle"]]
+         ["trunc"], ["oracle"]]
     ),
     st.builds(
         lambda k: ["hw-eval", "--sweep", k],

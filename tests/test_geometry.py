@@ -340,3 +340,55 @@ def test_box_relations_deterministic(quartic):
     a = enumerate_box_relations(quartic.lifted, 2, max_results=300)
     b = enumerate_box_relations(quartic.lifted, 2, max_results=300)
     assert a == b
+
+
+# -- the packed relation check ------------------------------------------------------
+
+
+def _is_relation_reference(lifted, l):
+    return len(l) == len(lifted) and all(
+        sum(lk * v[i] for lk, v in zip(l, lifted)) == 0 for i in range(len(lifted[0]))
+    )
+
+
+def test_is_relation_matches_reference():
+    rng = random.Random(29)
+    for trial in range(300):
+        n = rng.randint(1, 4)
+        top = rng.choice([3, 10, 10**6, 2**70])
+        lifted = [
+            tuple(rng.randint(0, top) for _ in range(n)) + (1,)
+            for _ in range(rng.randint(n + 2, n + 6))
+        ]
+        basis = kernel_basis(lifted)
+        scale = rng.choice([1, 5, 10**9, 2**80])
+        rel = [0] * len(lifted)
+        for b in basis:
+            c = rng.randint(-scale, scale)
+            rel = [x + c * y for x, y in zip(rel, b)]
+        candidates = [rel, [rng.randint(-scale, scale) for _ in lifted]]
+        for k in range(len(lifted)):
+            for delta in (1, -1):  # near misses
+                near = list(rel)
+                near[k] += delta
+                candidates.append(near)
+        for l in candidates:
+            assert is_relation(lifted, l) == _is_relation_reference(lifted, l)
+        assert is_relation(lifted, rel)
+
+
+def test_is_relation_no_carry_between_fields():
+    # (2^k, -1) against the columns (1, 0), (0, 1): the coordinate sums
+    # (2^k, -1) would cancel in fields only k bits wide
+    lifted = [(1, 0), (0, 1)]
+    for k in range(1, 90):
+        assert not is_relation(lifted, (2**k, -1))
+        assert not is_relation(lifted, (-(2**k), 1))
+    assert is_relation(lifted, (0, 0))
+
+
+def test_is_relation_rejects_wrong_length():
+    s = SupportSet.build(2, 3, HESSE_RAW)
+    assert is_relation(s.lifted, (3, -1, -1, -1))
+    assert not is_relation(s.lifted, (3, -1, -1))
+    assert not is_relation(s.lifted, (3, -1, -1, -1, 0))

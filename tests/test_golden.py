@@ -88,3 +88,31 @@ def test_golden_hw_eval(tmp_path, capsys, name):
     assert main(["hw-eval", "--config", str(path)] + extra) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# verify, series and trunc cases with their own arguments, pinned like
+# GOLDEN (seconds stripped): name -> (argv, exit code, sha256)
+ARGV_GOLDEN = {
+    "verify-hesse-cubic-5": (
+        ["verify", "--preset", "hesse-cubic", "--p", "5", "--suite", "all"],
+        0, "cfc94a64859a6c638b1b3a01fbc9d1931c1819cefe92e61aa631d7d86372563c",
+    ),
+    "verify-quartic-full-3": (
+        ["verify", "--preset", "quartic-full", "--p", "3", "--suite", "all"],
+        0, "7c78f34464ea2688d9e8ce435850731dc8b43347bcf8645887400f9d6fc7d3ff",
+    ),
+    "series-quartic-full-3-i1-j2": (
+        ["series", "--preset", "quartic-full", "--p", "3", "--i", "1", "--j", "2"],
+        0, "9a8970b4fb81d6703510bba8858f863b18eded357732b34a19e4d7d792ce43e1",
+    ),
+    "trunc-quartic-full-3-i1-j2": (
+        ["trunc", "--preset", "quartic-full", "--p", "3", "--i", "1", "--j", "2"],
+        0, "dc44fe6d3e155b3dc59e3c28961b571121fc48ea16842634281b7892482db89d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARGV_GOLDEN))
+def test_golden_argv(capsys, name):
+    argv, code, digest = ARGV_GOLDEN[name]
+    assert canonical_digest(capsys, argv) == (code, digest)

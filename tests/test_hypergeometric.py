@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from hassewitt import suites
 from hassewitt.algebra import SparseLaurentPoly
 from hassewitt.geometry import enumerate_box_relations
-from hassewitt.hasse_witt import symbolic_entry
+from hassewitt.hasse_witt import symbolic_entry, symbolic_matrix
 from hassewitt.hypergeometric import (
     box_apply,
     derivative_series,
@@ -15,6 +16,8 @@ from hassewitt.hypergeometric import (
     verify_hypergeometric_solution,
     verify_truncation_identity,
 )
+
+from conftest import support_from_preset
 
 P = SparseLaurentPoly
 
@@ -63,16 +66,19 @@ def _hesse_lifted():
     ).lifted
 
 
-def test_box_native_mod_path_agrees():
+def test_box_mod_p_agrees_with_integer_lift():
+    # box_apply on a mod-p polynomial is the reduction of box_apply on any
+    # integer lift of it
     rng = random.Random(11)
     for _ in range(200):
         p = rng.choice([2, 3, 5, 7])
-        terms = {
-            tuple(rng.randint(-4, 4) for _ in range(4)): rng.randint(1, p - 1)
+        lift = P(4, None, {
+            tuple(rng.randint(-4, 4) for _ in range(4)):
+                rng.randint(1, p - 1) + p * rng.randint(-3, 3)
             for _ in range(4)
-        }
-        f = P(4, p, terms)
-        assert box_apply(HESSE_REL, f) == box_apply(HESSE_REL, f, native_mod=True)
+        })
+        for l in (HESSE_REL, (2 * p, -p + 1, 1 - p, 0)):
+            assert box_apply(l, lift.reduce_mod(p)) == box_apply(l, lift).reduce_mod(p)
 
 
 # -- Euler operators -----------------------------------------------------------
@@ -258,14 +264,14 @@ def test_verify_exact_integer_mode(hesse):
 
 
 def test_verify_rejects_non_relation(hesse):
-    with pytest.raises(ValueError):
-        verify_hypergeometric_solution(
-            P.constant(4, 1, 5),
-            (0, 0, 0, 0),
-            [(1, 0, 0, 0)],
-            hesse.lifted,
-            mode="mod-p",
-        )
+    # (5, -5, 0, 0) has both parts of order p = 5, so its box operator is
+    # skipped mod p; the relation check must still reject it
+    for mode, f in (("mod-p", P.constant(4, 1, 5)), ("exact-integer", P.constant(4, 1))):
+        for l in ((1, 0, 0, 0), (5, -5, 0, 0)):
+            with pytest.raises(ValueError, match="not a lattice relation"):
+                verify_hypergeometric_solution(
+                    f, (0, 0, 0, 0), [HESSE_REL, l], hesse.lifted, mode=mode
+                )
 
 
 # -- truncation identity (entry vs series) ---------------------------------------
@@ -295,3 +301,86 @@ def test_truncation_identity_quartic_entries(quartic):
             rep = verify_truncation_identity(quartic, i, j, 3)
             assert rep.passed
             assert "+" in rep.witnesses["signs"]
+
+
+# -- the mod-p skip of vacuous box operators ---------------------------------------
+
+# (preset, p, box bound): hesse needs bound 15 before a relation, 5*(3,-1,-1,-1),
+# has both parts of order >= 5; quartic at p=3 drops 1980 of its 2000
+SKIP_CASES = [("hesse-cubic", 5, 15), ("quartic-full", 3, None)]
+
+
+def _skipped(relations, p):
+    return [l for l in relations if max(l) >= p and -min(l) >= p]
+
+
+def _random_mod_p_poly(rng, nvars, p):
+    return P(nvars, p, {
+        tuple(rng.randint(-3 * p, 3 * p) for _ in range(nvars)): rng.randint(1, p - 1)
+        for _ in range(6)
+    })
+
+
+@pytest.mark.parametrize("preset,p,bound", SKIP_CASES)
+def test_skipped_box_operators_vanish_mod_p(preset, p, bound):
+    support = support_from_preset(preset)
+    skipped = _skipped(suites._box_relations(support, bound), p)
+    assert skipped
+    rng = random.Random(41)
+    polys = [_random_mod_p_poly(rng, support.N, p) for _ in range(4)]
+    for l in skipped:
+        for f in polys:
+            assert box_apply(l, f).is_zero
+
+
+def _mutant(rng, f, p):
+    """f plus one nonzero coefficient at an exponent within 2 of its support."""
+    exp = tuple(e + rng.randint(-2, 2) for e in rng.choice(sorted(f.terms)))
+    return f + P(f.nvars, p, {exp: rng.randint(1, p - 1)})
+
+
+@pytest.mark.parametrize("preset,p,bound", SKIP_CASES)
+def test_skip_keeps_box_failures_of_mutants(preset, p, bound):
+    # every relation applied, skip or not, must give the reported failures
+    support = support_from_preset(preset)
+    lifted = support.lifted
+    relations = suites._box_relations(support, bound)
+    A = symbolic_matrix(support, p)
+    rng = random.Random(43)
+    cases = []
+    for i, u in enumerate(A.labels):
+        for j, v in enumerate(A.labels):
+            beta = tuple(p * a - b for a, b in zip(tuple(u) + (1,), tuple(v) + (1,)))
+            cases.append((A.entries[i][j], beta))
+            series = derivative_series(support, i, j, 2 * p + 2).poly.reduce_mod(p)
+            cases.append((trunc(rho_window(support.N, i), series, p),
+                          tuple(-x for x in lifted[j])))
+    caught = 0
+    for f, beta in cases:
+        mutant = _mutant(rng, f, p)
+        rep = verify_hypergeometric_solution(mutant, beta, relations, lifted, mode="mod-p")
+        reference = [list(l) for l in relations if not box_apply(l, mutant).is_zero]
+        assert rep.witnesses["box_failures"] == reference
+        assert rep.witnesses["relations_checked"] == len(relations)
+        caught += bool(reference)
+    assert caught  # the comparison covers nonempty failure lists
+
+
+def test_box_relations_built_once_per_run(hesse, monkeypatch):
+    calls = []
+    real = suites.enumerate_box_relations
+    monkeypatch.setattr(
+        suites, "enumerate_box_relations",
+        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs),
+    )
+    suites._box_relations.cache_clear()
+    reports = suites.run_suites(hesse, 5)
+    assert len(calls) == 1
+    assert all(r.passed for r in reports)
+    assert isinstance(suites._box_relations(hesse), tuple)
+
+
+def test_truncation_identity_needs_depth_p(quartic):
+    with pytest.raises(ValueError, match="depth"):
+        verify_truncation_identity(quartic, 0, 1, 3, depth=2)
+    assert verify_truncation_identity(quartic, 0, 1, 3, depth=3).passed
