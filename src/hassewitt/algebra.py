@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import struct
 from functools import lru_cache
 
 
@@ -352,8 +354,17 @@ def evaluate_laurent(coeffs, x, field):
 
 
 def det_leibniz(mat, bound=8) -> SparseLaurentPoly:
-    """Determinant of a square matrix of SparseLaurentPoly, by the signed sum
-    over all permutations.  Guarded by ``bound`` against factorial blowup.
+    """Determinant of a square matrix of SparseLaurentPoly: the Leibniz sum
+    over all permutations, grouped by shared minors.  Guarded by ``bound``
+    against blowup in the matrix size.
+
+    The expansion runs along the first row, and the minor of the trailing
+    rows r..m-1 on each column subset S is computed once, from the minors
+    of rows r+1..m-1 on the subsets of S: m * 2**(m-1) products rather than
+    m! * (m-1).  Every product works on exponents packed into one int each
+    (see _pack_entries), so multiplying two terms is one int addition; the
+    exponents are unpacked once, at the end.  Coefficients are reduced mod
+    the common modulus, and zeros dropped, once per minor.
     """
     m = len(mat)
     if any(len(row) != m for row in mat):
@@ -363,32 +374,93 @@ def det_leibniz(mat, bound=8) -> SparseLaurentPoly:
     if m == 0:
         raise ValueError("empty matrix")
     proto = mat[0][0]
-    acc = SparseLaurentPoly.zero(proto.nvars, proto.modulus)
-    for perm in itertools.permutations(range(m)):
-        prod = SparseLaurentPoly.constant(proto.nvars, 1, proto.modulus)
-        for i in range(m):
-            prod = prod * mat[i][perm[i]]
-            if prod.is_zero:
-                break
-        acc = acc + prod.scale(_perm_sign(perm))
-    return acc
+    for row in mat:
+        for entry in row:
+            proto._check_compat(entry)
+    if m == 1:
+        return proto
+    packed, width, lo = _pack_entries(mat)
+    modulus = proto.modulus
+    # minors[S] for the column subsets S (bitmasks) of size m - r, rows r..m-1
+    minors = {1 << j: entry for j, entry in enumerate(packed[m - 1]) if entry}
+    for r in range(m - 2, -1, -1):
+        row = packed[r]
+        level = {}
+        for cols in itertools.combinations(range(m), m - r):
+            cols_mask = sum(1 << c for c in cols)
+            acc = {}
+            get = acc.get
+            for pos, j in enumerate(cols):
+                entry = row[j]
+                minor = minors.get(cols_mask ^ (1 << j))
+                if not entry or not minor:
+                    continue
+                if len(entry) > len(minor):
+                    entry, minor = minor, entry
+                sign = -1 if pos % 2 else 1
+                for ka, ca in entry.items():
+                    ca *= sign
+                    for kb, cb in minor.items():
+                        k = ka + kb
+                        acc[k] = get(k, 0) + ca * cb
+            if modulus is not None:
+                acc = {k: c % modulus for k, c in acc.items() if c % modulus}
+            else:
+                acc = {k: c for k, c in acc.items() if c}
+            if acc:
+                level[cols_mask] = acc
+        minors = level
+    det = minors.get((1 << m) - 1, {})
+    offsets = [m * x for x in lo]
+    unpack = _unpacker(proto.nvars, width)
+    return SparseLaurentPoly(
+        proto.nvars,
+        modulus,
+        {tuple(map(operator.add, unpack(k), offsets)): c for k, c in det.items()},
+    )
 
 
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def _pack_entries(mat):
+    """The entries as {packed exponent: coefficient} dicts, with the field
+    width and the per-coordinate offsets lo.
+
+    Coordinate k of exponent e is stored as e_k - lo_k in bits
+    [k*width, (k+1)*width), where lo_k is the least k-th exponent over all
+    entries and hi_k the greatest.  The packed key of a product of r terms
+    is the sum of their keys, standing for the exponent sum minus r*lo.
+    Each field of such a sum is at most r*(hi_k - lo_k) <= m*(hi_k - lo_k),
+    and the width keeps that below 2**width, so no field carries into the
+    next.  The width is a whole number of bytes of a machine integer where
+    it can be, which _unpacker reads with one struct call.
+    """
+    m = len(mat)
+    columns = list(zip(*(e for row in mat for entry in row for e in entry.terms)))
+    lo = [min(col) for col in columns]
+    spread = max((m * (max(col) - low) for col, low in zip(columns, lo)), default=0)
+    bits = spread.bit_length()
+    width = next((w for w in (8, 16, 32, 64) if bits <= w), bits)
+    shifts = [k * width for k in range(len(lo))]
+    packed = [
+        [
+            {
+                sum((x - low) << s for x, low, s in zip(e, lo, shifts)): c
+                for e, c in entry.terms.items()
+            }
+            for entry in row
+        ]
+        for row in mat
+    ]
+    return packed, width, lo
+
+
+def _unpacker(nvars, width):
+    """The inverse of _pack_entries' packing: a packed key -> its fields."""
+    code = {8: "B", 16: "H", 32: "I", 64: "Q"}.get(width)
+    if code is not None:
+        layout = struct.Struct(f"<{nvars}{code}")
+        return lambda key: layout.unpack(key.to_bytes(layout.size, "little"))
+    mask = (1 << width) - 1
+    return lambda key: [(key >> (k * width)) & mask for k in range(nvars)]
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,10 @@ def generic_det_check(support: SupportSet, p, det_bound=8) -> VerificationReport
     """Generic invertibility: the determinant of the rescaled matrix has
     constant term 1, hence det(A) is a nonzero polynomial; also verifies the
     exact scaling identity det(B) * prod_k L_k^{p-1} = det(A).
+
+    det(B) and det(A) come from two independent det_leibniz calls (memoised
+    Laplace expansion on packed exponents).  Deriving det(A) as a shift of
+    det(B) would make the scaling identity hold by construction.
     """
     start = time.monotonic()
     _require_interior(support, "the generic determinant check")

@@ -203,6 +203,86 @@ def test_det_bound():
         det_leibniz(mat)
 
 
+def test_det_shape_errors():
+    one = P.constant(1, 1, 5)
+    with pytest.raises(ValueError, match="not square"):
+        det_leibniz([[one, one], [one]])
+    with pytest.raises(ValueError, match="not square"):
+        det_leibniz([[one, one]])
+    with pytest.raises(ValueError, match="empty"):
+        det_leibniz([])
+    with pytest.raises(ValueError):
+        det_leibniz([[one, one], [one, P.constant(1, 1, 3)]])
+
+
+def random_entry(rng, nvars, modulus, span=3):
+    """A Laurent polynomial with exponents of both signs; a quarter of the
+    entries are zero."""
+    if rng.random() < 0.25:
+        return P.zero(nvars, modulus)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        exp = tuple(rng.randint(-span, span) for _ in range(nvars))
+        terms[exp] = rng.randint(1, modulus - 1) if modulus else rng.randint(-9, 9)
+    return P(nvars, modulus, terms)
+
+
+@pytest.mark.parametrize("modulus", [None, 2, 3, 5, 7])
+def test_det_matches_cofactor_random(modulus):
+    rng = random.Random(f"det-{modulus}")
+    for m in range(1, 6):
+        for nvars in (1, 2, 3):
+            for _ in range(3 if m < 5 else 1):
+                mat = [[random_entry(rng, nvars, modulus) for _ in range(m)] for _ in range(m)]
+                assert det_leibniz(mat) == det_cofactor(mat)
+
+
+@pytest.mark.parametrize("modulus", [None, 3])
+def test_det_zero_row_and_cancellation(modulus):
+    rng = random.Random(11)
+    for m in (2, 3, 4):
+        mat = [[random_entry(rng, 2, modulus) for _ in range(m)] for _ in range(m)]
+        mat[rng.randrange(m)] = [P.zero(2, modulus)] * m
+        assert det_leibniz(mat) == P.zero(2, modulus)
+        # two equal rows: swapping them pairs up the permutations with
+        # opposite signs, so every term cancels
+        mat = [[random_entry(rng, 2, modulus) for _ in range(m)] for _ in range(m - 1)]
+        mat.append(list(mat[0]))
+        assert det_leibniz(mat) == P.zero(2, modulus) == det_cofactor(mat)
+
+
+@pytest.mark.parametrize(
+    "lo,hi",
+    [
+        (-(2**40), 2**40),  # far from 0, both signs
+        (0, 2**7),  # 2 * span = 2**8: just needs a 16-bit field
+        (-1, 2**7 - 1),
+        (5, 2**7 + 4),
+        (0, 2**15),  # 2 * span = 2**16: a 32-bit field
+        (-(2**31), 0),  # 2 * span = 2**32: a 64-bit field
+        (2**40, 2**63 + 2**40),  # 2 * span = 2**64: wider than 64 bits
+    ],
+)
+def test_det_wide_exponents(lo, hi):
+    # exponents at both ends of [lo, hi] in every coordinate, so that the
+    # products of m extreme terms fill each packed field to m * (hi - lo)
+    rng = random.Random(lo ^ hi)
+    for m in (2, 3):
+        mat = [
+            [
+                P(3, None, {
+                    tuple(rng.choice((lo, hi)) for _ in range(3)): rng.randint(-5, 5) or 1
+                    for _ in range(3)
+                })
+                for _ in range(m)
+            ]
+            for _ in range(m)
+        ]
+        assert det_leibniz(mat) == det_cofactor(mat)
+    top, bottom = mono((hi, lo)), mono((lo, hi))
+    assert det_leibniz([[top, bottom], [bottom, top]]) == mono((2 * hi, 2 * lo)) - mono((2 * lo, 2 * hi))
+
+
 # -- specialization ------------------------------------------------------------
 
 

@@ -43,8 +43,14 @@ GOLDEN = {
     ("hw-symbolic", "quintic-full", 3): (0, "5df71b8b480e9cf608a5e9557be7ae54eac0f94cb9c9bec2949b8e22f386a424"),
     ("hw-symbolic", "quintic-full", 5): (0, "b104f44b2e88511c045cc60ba6a70efe15cee33a43ba3a31fe7702108c2cf122"),
     ("hw-symbolic", "quintic-full", 7): (0, "64e183a24b961ae17981cabfd0e89f34532db47d1fd7ca67bc6a37f938b1300d"),
+    ("generic-det", "hesse-cubic", 3): (0, "6bc9779fdc8f3b4ccef1c840260e1c0f01503596adeaef0f4aea123e46310292"),
     ("generic-det", "hesse-cubic", 5): (0, "a4829b0b1f2cec7dd1fc5aab1ab77870413c277be53c2045a62778847c2f818f"),
+    ("generic-det", "hesse-cubic", 7): (0, "ace57123514dc244c787b70d99cf7c95ee79379699c5ab9842b33fd322157638"),
+    ("generic-det", "quartic-full", 2): (0, "0ea2a2be44c9a4a9637aa489b5e02c3b359918bba89527abb0f3c451060ac79b"),
+    ("generic-det", "quartic-full", 3): (0, "b464af745ab934539a0874aac89df200ccd2e6797e83d316b7a2dc4870ffc36d"),
     ("generic-det", "quartic-full", 5): (0, "3e5f2bb6401a1cfa12a70a6faf41ae351f9228305927cb56c14c254f0af29445"),
+    # the only 6x6 case: memoised minors deeper than 2x2
+    ("generic-det", "quintic-full", 2): (0, "52bc88f7c226c5b64b32888f9ed1c08c9af1c1e876a7d5513ff2b09c50423e39"),
 }
 
 

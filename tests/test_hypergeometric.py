@@ -81,6 +81,21 @@ def test_box_mod_p_agrees_with_integer_lift():
             assert box_apply(l, lift.reduce_mod(p)) == box_apply(l, lift).reduce_mod(p)
 
 
+def test_box_apply_is_difference_of_derivatives():
+    from hassewitt.hypergeometric import _monomial_derivative, relation_parts
+
+    rng = random.Random(29)
+    for _ in range(200):
+        modulus = rng.choice([None, 2, 3, 5, 7])
+        f = P(4, modulus, {
+            tuple(rng.randint(-4, 4) for _ in range(4)): rng.randint(-20, 20)
+            for _ in range(rng.randint(0, 6))
+        })
+        l = tuple(rng.randint(-4, 4) for _ in range(4))
+        lp, lm = relation_parts(l)
+        assert box_apply(l, f) == _monomial_derivative(f, lp) - _monomial_derivative(f, lm)
+
+
 # -- Euler operators -----------------------------------------------------------
 
 
@@ -272,6 +287,33 @@ def test_verify_rejects_non_relation(hesse):
                 verify_hypergeometric_solution(
                     f, (0, 0, 0, 0), [HESSE_REL, l], hesse.lifted, mode=mode
                 )
+
+
+def test_verify_validates_each_relation_tuple_once(hesse, monkeypatch):
+    from hassewitt import hypergeometric
+
+    calls = []
+
+    def counting(lifted, l):
+        calls.append(l)
+        return geometry_is_relation(lifted, l)
+
+    geometry_is_relation = hypergeometric.is_relation
+    monkeypatch.setattr(hypergeometric, "is_relation", counting)
+    hypergeometric._check_relations.cache_clear()
+    f = P.constant(4, 1, 5)
+    good = (HESSE_REL, tuple(2 * x for x in HESSE_REL))
+    for _ in range(3):
+        rep = verify_hypergeometric_solution(f, (0, 0, 0, 0), good, hesse.lifted)
+        assert rep.witnesses["relations_checked"] == 2
+    assert len(calls) == 2
+    # a bad tuple raises on every call, also right after being rejected
+    bad = good + ((1, 0, 0, 0),)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a lattice relation"):
+            verify_hypergeometric_solution(f, (0, 0, 0, 0), bad, hesse.lifted)
+    with pytest.raises(ValueError, match="not a lattice relation"):
+        verify_hypergeometric_solution(f, (0, 0, 0, 0), list(bad), hesse.lifted)
 
 
 # -- truncation identity (entry vs series) ---------------------------------------
