@@ -353,9 +353,12 @@ def evaluate_laurent(coeffs, x, field):
     return acc * x**lo if lo else acc
 
 
-def det_leibniz(mat, bound=8) -> SparseLaurentPoly:
+DET_BOUND = 8
+
+
+def det_leibniz(mat) -> SparseLaurentPoly:
     """Determinant of a square matrix of SparseLaurentPoly: the Leibniz sum
-    over all permutations, grouped by shared minors.  Guarded by ``bound``
+    over all permutations, grouped by shared minors.  Guarded by DET_BOUND
     against blowup in the matrix size.
 
     The expansion runs along the first row, and the minor of the trailing
@@ -369,8 +372,8 @@ def det_leibniz(mat, bound=8) -> SparseLaurentPoly:
     m = len(mat)
     if any(len(row) != m for row in mat):
         raise ValueError("matrix is not square")
-    if m > bound:
-        raise ValueError(f"matrix size {m} exceeds determinant bound {bound}")
+    if m > DET_BOUND:
+        raise ValueError(f"matrix size {m} exceeds determinant bound {DET_BOUND}")
     if m == 0:
         raise ValueError("empty matrix")
     proto = mat[0][0]

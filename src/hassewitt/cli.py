@@ -15,7 +15,7 @@ import itertools
 import json
 import sys
 
-from .algebra import ExtensionField, is_prime
+from .algebra import DET_BOUND, ExtensionField, is_prime
 from .geometry import SupportSet
 from .hasse_witt import (
     HypothesisViolation,
@@ -67,6 +67,9 @@ PRESETS = {
 }
 
 
+CONFIG_KEYS = ("n", "d", "exponents", "p", "a", "seed", "depth", "lambda")
+
+
 class ConfigError(Exception):
     pass
 
@@ -89,6 +92,9 @@ def load_config(args) -> dict:
             raise ConfigError("config must be a single JSON object")
     else:
         raise ConfigError("either --config or --preset is required")
+    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}; accepted: {CONFIG_KEYS}")
     if args.p is not None:
         cfg["p"] = args.p
     cfg.setdefault("p", 5)
@@ -105,9 +111,6 @@ def load_config(args) -> dict:
         raise ConfigError(f"extension degree a = {cfg['a']} must be >= 1")
     if cfg.get("depth") is not None:
         _require_depth(cfg["depth"])
-    box_bound = cfg.get("box_bound")
-    if box_bound is not None and not (_is_int(box_bound) and box_bound >= 1):
-        raise ConfigError(f"box_bound must be an integer >= 1, got {box_bound!r}")
     exponents = cfg.get("exponents")
     if not isinstance(exponents, list) or not exponents or not all(
         isinstance(a, list) and all(_is_int(x) for x in a) for a in exponents
@@ -223,7 +226,16 @@ def cmd_hw_eval(args, cfg, support):
     return 0
 
 
+def _require_det_size(support):
+    if support.m > DET_BOUND:
+        raise ConfigError(
+            f"matrix size m = {support.m} exceeds the determinant bound "
+            f"{DET_BOUND} of generic-det and suite 2.11"
+        )
+
+
 def cmd_generic_det(args, cfg, support):
+    _require_det_size(support)
     report = generic_det_check(support, cfg["p"])
     w = report.witnesses
     _emit(
@@ -305,11 +317,11 @@ def cmd_trunc(args, cfg, support):
 
 
 def cmd_verify(args, cfg, support):
+    if args.suite in ("all", "2.11"):
+        _require_det_size(support)
     options = {"seed": cfg["seed"]}
     if cfg.get("depth"):
         options["depth"] = cfg["depth"]
-    if cfg.get("box_bound"):
-        options["box_bound"] = cfg["box_bound"]
     reports = run_suites(support, cfg["p"], args.suite, **options)
     _emit({"reports": [r.to_dict() for r in reports]}, args.out)
     return 0 if all(r.passed for r in reports) else 1

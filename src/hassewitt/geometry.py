@@ -11,7 +11,8 @@ as specialization points can be permuted to match.
 
 from __future__ import annotations
 
-import functools
+import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,33 +201,38 @@ def kernel_basis(lifted):
     A^T-part vanishes form a basis of the full kernel lattice, not merely a
     rational basis.
     """
-    lifted = [list(v) for v in lifted]
     N = len(lifted)
     m = len(lifted[0]) if lifted else 0
-    rows = [lifted[k] + [1 if j == k else 0 for j in range(N)] for k in range(N)]
-    pivot = 0
-    for col in range(m):
-        while True:
-            cand = [r for r in range(pivot, N) if rows[r][col] != 0]
-            if not cand:
-                break
+    rows = [list(v) + [int(j == k) for j in range(N)] for k, v in enumerate(lifted)]
+    rank = len(_echelon(rows, m))
+    return sorted(_sign_normalize(tuple(row[m:])) for row in rows[rank:])
+
+
+def _echelon(rows, ncols):
+    """Echelon form of the integer rows on their first ncols columns, in place,
+    by unimodular row operations; returns the pivots, one per leading row."""
+    pivots = []
+    for col in range(ncols):
+        pivot = len(pivots)
+        while cand := [r for r in range(pivot, len(rows)) if rows[r][col] != 0]:
             r0 = min(cand, key=lambda r: (abs(rows[r][col]), r))
             rows[pivot], rows[r0] = rows[r0], rows[pivot]
-            done = True
-            for r in range(pivot + 1, N):
+            if len(cand) == 1:
+                pivots.append(rows[pivot][col])
+                break
+            for r in range(pivot + 1, len(rows)):
                 if rows[r][col]:
                     q = rows[r][col] // rows[pivot][col]
                     rows[r] = [a - q * b for a, b in zip(rows[r], rows[pivot])]
-                    if rows[r][col]:
-                        done = False
-            if done:
-                pivot += 1
-                break
-    basis = []
-    for r in range(pivot, N):
-        vec = tuple(rows[r][m:])
-        basis.append(_sign_normalize(vec))
-    return sorted(basis)
+    return pivots
+
+
+def _lattice_invariants(vectors, N):
+    """(rank, product of the |pivots| of an echelon basis) of the lattice the
+    vectors span in Z^N.  Lattices M inside L of one rank share their pivot
+    columns, so [L : M] is the ratio of the two products."""
+    pivots = _echelon([list(v) for v in vectors], N)
+    return len(pivots), math.prod(map(abs, pivots))
 
 
 def _sign_normalize(vec):
@@ -256,28 +262,10 @@ def enumerate_Li(lifted, i, depth):
 
 
 def is_relation(lifted, l):
-    """True iff sum_k l_k * lifted[k] = 0, decided by one packed dot product.
-
-    With every column packed into an int of base-2**w fields, the dot
-    product is sum_i s_i * 2**(i*w) for the coordinate sums s_i.  The fields
-    are wide enough that every |s_i| < 2**w, and such a sum is 0 only when
-    every s_i is.
-    """
-    lifted = tuple(map(tuple, lifted))
-    if len(l) != len(lifted):
-        return False
-    cols = _packed_columns(lifted, sum(map(abs, l)).bit_length())
-    return sum(map(operator.mul, l, cols)) == 0
-
-
-@functools.lru_cache(maxsize=16)
-def _packed_columns(lifted, scale):
-    """The columns packed with one field per coordinate, wide enough for
-    |sum_k l_k * lifted[k][i]| <= sum_k |l_k| * max|entry| whenever
-    sum_k |l_k| < 2**scale."""
-    top = max(abs(x) for v in lifted for x in v)
-    shift = top.bit_length() + scale + 1
-    return tuple(_pack(v, shift) for v in lifted)
+    """True iff sum_k l_k * lifted[k] = 0."""
+    return len(l) == len(lifted) and not any(
+        sum(map(operator.mul, l, column)) for column in zip(*lifted)
+    )
 
 
 def in_Li(lifted, i, l):
@@ -313,55 +301,51 @@ def convex_combination_certificate(lifted, i, l):
     return True
 
 
-def enumerate_box_relations(lifted, sup_bound, max_results=2000, max_nodes=2_000_000):
-    """Nonzero lattice relations with max_k |l_k| <= sup_bound, up to sign
-    (first nonzero entry positive), enumerated depth-first with candidate
-    values ordered by absolute value so small relations are found first.
-
-    For high-rank lattices the full ball is astronomically large, so the
-    search is capped at ``max_results`` relations / ``max_nodes`` search
-    nodes; the capped enumeration is still deterministic.
+def enumerate_box_relations(lifted):
+    """Markov moves of the lattice of relations, sign-normalised, built
+    degree by degree.  For t = 2, 3, ... the e in N^N with |e| = t are
+    grouped into fibers by their image sum_k e_k * lifted[k]; in each fiber,
+    union-find joins the points that differ by a move (only moves of lower
+    degree can apply), and every component after the first adds one move.
+    The search stops after the first degree D at which the moves generate
+    the lattice of ``kernel_basis``.  Every fiber of degree <= D is then
+    connected; the moves are a Markov basis when the toric ideal is
+    generated in degree <= D, as the Veronese ideals of the full presets are.
     """
     lifted = [tuple(v) for v in lifted]
     N = len(lifted)
-    m = len(lifted[0])
-    suffix = [[0] * m for _ in range(N + 1)]
-    for k in reversed(range(N)):
-        for i in range(m):
-            suffix[k][i] = suffix[k + 1][i] + sup_bound * lifted[k][i]
-    values = [0]
-    for v in range(1, sup_bound + 1):
-        values += [v, -v]
-    out = []
-    acc = [0] * N
-    nodes = 0
-
-    def rec(k, partial):
-        nonlocal nodes
-        if len(out) >= max_results or nodes > max_nodes:
-            return
-        nodes += 1
-        if any(abs(partial[i]) > suffix[k][i] for i in range(m)):
-            return
-        if k == N:
-            if all(x == 0 for x in partial) and any(acc):
-                vec = tuple(acc)
-                if _sign_normalize(vec) == vec:
-                    out.append(vec)
-            return
-        col = lifted[k]
-        for v in values:
-            acc[k] = v
-            rec(k + 1, tuple(pp + v * c for pp, c in zip(partial, col)))
-            if len(out) >= max_results or nodes > max_nodes:
-                break
-        acc[k] = 0
-
-    rec(0, (0,) * m)
-    return out
+    lattice = _lattice_invariants(kernel_basis(lifted), N)
+    moves = []
+    t = 1
+    while _lattice_invariants(moves, N) != lattice:
+        t += 1
+        fibers = {}
+        for combo in itertools.combinations_with_replacement(range(N), t):
+            image = tuple(map(sum, zip(*(lifted[k] for k in combo))))
+            fibers.setdefault(image, []).append(tuple(map(combo.count, range(N))))
+        for points in fibers.values():
+            moves += _fiber_moves(points, moves)
+    return moves
 
 
-def default_box_bound(lifted):
-    """Sup-norm bound for box-operator enumeration: 3 * max(1, kernel rank)."""
-    rank = len(kernel_basis(lifted))
-    return 3 * max(1, rank)
+def _fiber_moves(points, moves):
+    """One move per component of the fiber under the given moves, after the
+    first: from the first point of the first component to its own."""
+    parent = {e: e for e in points}
+
+    def find(e):
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
+
+    for e in points:
+        for l in moves:
+            f = tuple(map(operator.add, e, l))
+            if f in parent:
+                parent[find(f)] = find(e)
+    firsts = {}
+    for e in points:
+        firsts.setdefault(find(e), e)
+    first, *others = firsts.values()
+    return [_sign_normalize(tuple(map(operator.sub, e, first))) for e in others]

@@ -139,7 +139,7 @@ def scaled_matrix(A: HWMatrixSymbolic) -> HWMatrixScaled:
     return HWMatrixScaled(support=support, p=p, entries=entries)
 
 
-def generic_det_check(support: SupportSet, p, det_bound=8) -> VerificationReport:
+def generic_det_check(support: SupportSet, p) -> VerificationReport:
     """Generic invertibility: the determinant of the rescaled matrix has
     constant term 1, hence det(A) is a nonzero polynomial; also verifies the
     exact scaling identity det(B) * prod_k L_k^{p-1} = det(A).
@@ -152,8 +152,8 @@ def generic_det_check(support: SupportSet, p, det_bound=8) -> VerificationReport
     _require_interior(support, "the generic determinant check")
     A = symbolic_matrix(support, p)
     B = scaled_matrix(A)
-    det_B = det_leibniz([list(r) for r in B.entries], bound=det_bound)
-    det_A = det_leibniz([list(r) for r in A.entries], bound=det_bound)
+    det_B = det_leibniz([list(r) for r in B.entries])
+    det_A = det_leibniz([list(r) for r in A.entries])
     ct = det_B.constant_term()
     delta = [0] * support.N
     for k in range(support.m):

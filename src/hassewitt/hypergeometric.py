@@ -214,7 +214,6 @@ def verify_hypergeometric_solution(
     relations,
     lifted,
     mode="mod-p",
-    boundary_support=None,
 ) -> VerificationReport:
     """Check that f is annihilated by all homogeneity operators with the
     given parameter and by the box operator of every supplied relation.
@@ -223,15 +222,12 @@ def verify_hypergeometric_solution(
     identically.  mode "exact-integer": f has integer coefficients and is a
     depth-limited truncation of an infinite series; a box residual term at
     exponent m only counts as a failure when both source exponents m+l_plus
-    and m+l_minus belong to ``boundary_support`` (the exponents actually
-    enumerated), since residuals sourced beyond the enumeration depth are
-    truncation artifacts.  Integer mode also records that all coefficients
-    are exact integers.
+    and m+l_minus are exponents of f, since residuals sourced beyond the
+    enumeration depth are truncation artifacts.  Integer mode also records
+    that all coefficients are exact integers.
 
-    Every relation is validated, once per (lifted, relations) pair, and
-    counted.  In mod-p mode a relation whose positive and negative parts
-    both have a coordinate >= p is not applied, because both of its
-    monomial derivatives vanish mod p.
+    Every relation is validated, once per (lifted, relations) pair, applied
+    and counted.
     """
     start = time.monotonic()
     if mode not in ("mod-p", "exact-integer"):
@@ -241,18 +237,11 @@ def verify_hypergeometric_solution(
     if mode == "exact-integer" and f.modulus is not None:
         raise ValueError("exact-integer mode needs integer coefficients")
     _check_relations(tuple(map(tuple, lifted)), tuple(map(tuple, relations)))
-    if boundary_support is None:
-        boundary_support = f.support()
+    support = f.support()
 
-    euler_bad = [
-        coord for coord, _ in euler_residuals(lifted, beta, f)
-    ]
+    euler_bad = [coord for coord, _ in euler_residuals(lifted, beta, f)]
     box_bad = []
     for l in relations:
-        if mode == "mod-p" and max(l) >= f.modulus and -min(l) >= f.modulus:
-            # an order m >= p derivative multiplies every coefficient by m
-            # consecutive integers, a multiple of p: both parts vanish mod p
-            continue
         res = box_apply(l, f)
         if res.is_zero:
             continue
@@ -263,7 +252,7 @@ def verify_hypergeometric_solution(
         for mexp in res.terms:
             src_plus = tuple(a + b for a, b in zip(mexp, lp))
             src_minus = tuple(a + b for a, b in zip(mexp, lm))
-            if src_plus in boundary_support and src_minus in boundary_support:
+            if src_plus in support and src_minus in support:
                 box_bad.append((tuple(l), mexp))
                 break
     passed = not euler_bad and not box_bad

@@ -16,7 +16,6 @@ from .algebra import ExtensionField
 from .geometry import (
     SupportSet,
     convex_combination_certificate,
-    default_box_bound,
     enumerate_Li,
     enumerate_box_relations,
 )
@@ -44,13 +43,21 @@ PROP_2_9_SAMPLE = 10**4
 
 
 @functools.lru_cache(maxsize=1)
-def _box_relations(support: SupportSet, box_bound=None, max_results=2000):
-    """The box relations shared by suites 3.4, 3.7 and 3.11, built once per
-    (support, bound)."""
-    lifted = support.lifted
-    if box_bound is None:
-        box_bound = default_box_bound(lifted)
-    return tuple(enumerate_box_relations(lifted, box_bound, max_results=max_results))
+def _box_relations(support: SupportSet):
+    """The Markov moves shared by suites 3.4, 3.7 and 3.11, built once."""
+    return tuple(enumerate_box_relations(support.lifted))
+
+
+def _relation_coverage(relations, N, p):
+    """The degree the moves are complete up to, their number, the columns
+    they touch, and how many are non-vacuous mod p: a box operator vanishes
+    mod p when both l+ and l- have a coordinate >= p."""
+    return {
+        "degree": max((sum(x for x in l if x > 0) for l in relations), default=0),
+        "moves": len(relations),
+        "columns_touched": sum(any(l[k] for l in relations) for k in range(N)),
+        "nonvacuous_mod_p": sum(max(l) < p or -min(l) < p for l in relations),
+    }
 
 
 def suite_2_7(support: SupportSet, p, **_):
@@ -142,7 +149,7 @@ def suite_2_11(support: SupportSet, p, **_):
     return report
 
 
-def suite_3_4(support: SupportSet, p, depth=None, box_bound=None, **_):
+def suite_3_4(support: SupportSet, p, depth=None, **_):
     """Depth-p derivative series: integer coefficients, exact annihilation
     by the homogeneity operators with the negated lifted column as
     parameter, and box checks under the truncation-boundary rule.
@@ -151,7 +158,7 @@ def suite_3_4(support: SupportSet, p, depth=None, box_bound=None, **_):
     if depth is None:
         depth = p
     lifted = support.lifted
-    relations = _box_relations(support, box_bound)
+    relations = _box_relations(support)
     failures = []
     for i in range(support.m):
         for j in range(support.m):
@@ -173,13 +180,14 @@ def suite_3_4(support: SupportSet, p, depth=None, box_bound=None, **_):
             "p": p,
             "depth": depth,
             "relations_checked": len(relations),
+            "relation_coverage": _relation_coverage(relations, support.N, p),
             "failures": failures,
         },
         seconds=time.monotonic() - start,
     )
 
 
-def suite_3_7(support: SupportSet, p, seed=0, box_bound=None, windows_per_series=2, **_):
+def suite_3_7(support: SupportSet, p, seed=0, windows_per_series=2, **_):
     """Truncations of the derivative series over the distinguished window,
     the zero window, and seeded random windows with entries in [-2, 1] are
     exact mod-p solutions; the derivative/truncation commutation congruence
@@ -188,7 +196,7 @@ def suite_3_7(support: SupportSet, p, seed=0, box_bound=None, windows_per_series
     start = time.monotonic()
     lifted = support.lifted
     N = support.N
-    relations = _box_relations(support, box_bound)
+    relations = _box_relations(support)
     rng = random.Random(seed)
     depth = 2 * p + 2  # covers every window coordinate down to -2p
     failures = []
@@ -219,6 +227,7 @@ def suite_3_7(support: SupportSet, p, seed=0, box_bound=None, windows_per_series
             "p": p,
             "windows_checked": windows_checked,
             "relations_checked": len(relations),
+            "relation_coverage": _relation_coverage(relations, support.N, p),
             "failures": failures,
         },
         seconds=time.monotonic() - start,
@@ -250,13 +259,13 @@ def suite_3_8(support: SupportSet, p, **_):
     )
 
 
-def suite_3_11(support: SupportSet, p, box_bound=None, **_):
-    """Every Hasse-Witt entry mod p is annihilated by the enumerated box
-    operators and by the homogeneity operators with the exact parameter
-    p*u+ - v+ (congruent to the negated lifted column mod p)."""
+def suite_3_11(support: SupportSet, p, **_):
+    """Every Hasse-Witt entry mod p is annihilated by the box operators of
+    the Markov moves and by the homogeneity operators with the exact
+    parameter p*u+ - v+ (congruent to the negated lifted column mod p)."""
     start = time.monotonic()
     lifted = support.lifted
-    relations = _box_relations(support, box_bound)
+    relations = _box_relations(support)
     A = symbolic_matrix(support, p)
     failures = []
     for i, u in enumerate(A.labels):
@@ -276,6 +285,7 @@ def suite_3_11(support: SupportSet, p, box_bound=None, **_):
             "p": p,
             "entries_checked": len(A.labels) ** 2,
             "relations_checked": len(relations),
+            "relation_coverage": _relation_coverage(relations, support.N, p),
             "failures": failures,
         },
         seconds=time.monotonic() - start,

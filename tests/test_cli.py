@@ -327,8 +327,46 @@ def test_bad_box_bound_exit_2(tmp_path, capsys, box_bound):
     assert "box_bound" in err
 
 
-def test_box_bound_in_config_is_used(tmp_path, capsys):
-    path = write_config(tmp_path, box_bound=6)
+def test_unknown_config_key_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path, max_results=10)
+    code, out, err = run_cli(capsys, "verify", "--config", path, "--suite", "3.11")
+    assert code == 2
+    assert out == ""
+    assert "max_results" in err
+
+
+def test_presets_use_only_accepted_keys():
+    from hassewitt.cli import CONFIG_KEYS, PRESETS
+
+    assert all(set(cfg) <= set(CONFIG_KEYS) for cfg in PRESETS.values())
+
+
+# the sextic plane curve: all ten interior monomials and the Fermat terms
+SEXTIC = {
+    "n": 2,
+    "d": 6,
+    "p": 7,
+    "exponents": [[a, b, 6 - a - b] for a in range(1, 5) for b in range(1, 6 - a)]
+    + [[6, 0, 0], [0, 6, 0], [0, 0, 6]],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["generic-det"], ["verify"], ["verify", "--suite", "2.11"]],
+    ids=["generic-det", "verify-all", "verify-2.11"],
+)
+def test_determinant_over_the_bound_exit_2(tmp_path, capsys, argv):
+    path = write_config(tmp_path, **SEXTIC)
+    code, out, err = run_cli(capsys, *argv, "--config", path)
+    assert code == 2
+    assert out == ""
+    assert "m = 10" in err and "bound 8" in err
+
+
+def test_box_suite_runs_over_the_determinant_bound(tmp_path, capsys):
+    path = write_config(tmp_path, **SEXTIC)
     code, out, _ = run_cli(capsys, "verify", "--config", path, "--suite", "3.11")
     assert code == 0
-    assert json.loads(out)["reports"][0]["witnesses"]["relations_checked"] == 2
+    witnesses = json.loads(out)["reports"][0]["witnesses"]
+    assert witnesses["entries_checked"] == 100

@@ -236,11 +236,10 @@ def _rational_rank(vectors):
 
 
 def test_kernel_basis_generates_over_Z(quartic):
-    # every small relation must be an integer combination of the basis
+    # every Markov move must be an integer combination of the basis
     lifted = quartic.lifted
     basis = kernel_basis(lifted)
-    rels = enumerate_box_relations(lifted, 1, max_results=200)
-    for l in rels:
+    for l in enumerate_box_relations(lifted):
         assert _in_span_Z(basis, l)
 
 
@@ -317,32 +316,110 @@ def test_convex_certificate(preset, request):
                 assert convex_combination_certificate(s.lifted, i, l)
 
 
-# -- bounded relation enumeration -------------------------------------------------
+# -- Markov moves ------------------------------------------------------------------
+
+DWORK_K3_RAW = [(4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0), (0, 0, 0, 4), (1, 1, 1, 1)]
+
+
+def _degree(l):
+    return sum(x for x in l if x > 0)
 
 
 def test_box_relations_hesse():
     s = SupportSet.build(2, 3, HESSE_RAW)
-    rels = enumerate_box_relations(s.lifted, 3)
-    assert rels == [(3, -1, -1, -1)]
-    rels6 = enumerate_box_relations(s.lifted, 6)
-    assert sorted(rels6) == [(3, -1, -1, -1), (6, -2, -2, -2)]
+    assert enumerate_box_relations(s.lifted) == [(3, -1, -1, -1)]
 
 
-def test_box_relations_are_relations(quintic):
-    rels = enumerate_box_relations(quintic.lifted, 2, max_results=500)
-    assert rels
-    for l in rels:
-        assert is_relation(quintic.lifted, l)
-        assert max(abs(x) for x in l) <= 2
+def test_box_relations_fermat_empty():
+    assert enumerate_box_relations(lift(FERMAT_RAW)) == []
+
+
+@pytest.mark.parametrize("preset,moves", [("quartic", 75), ("quintic", 165)])
+def test_box_relations_full_presets_are_quadrics(preset, moves, request):
+    # a Veronese ideal is generated by quadrics, and the moves touch every
+    # column
+    s = request.getfixturevalue(preset)
+    rels = enumerate_box_relations(s.lifted)
+    assert len(rels) == moves
+    assert {_degree(l) for l in rels} == {2}
+    assert all(any(l[k] for l in rels) for k in range(s.N))
+
+
+def test_box_relations_are_relations(hesse, quartic, quintic):
+    for s in (hesse, quartic, quintic):
+        rels = enumerate_box_relations(s.lifted)
+        assert rels
+        for l in rels:
+            assert is_relation(s.lifted, l)
+            assert next(x for x in l if x) > 0  # sign-normalised
+        assert len(set(rels)) == len(rels)
 
 
 def test_box_relations_deterministic(quartic):
-    a = enumerate_box_relations(quartic.lifted, 2, max_results=300)
-    b = enumerate_box_relations(quartic.lifted, 2, max_results=300)
+    a = enumerate_box_relations(quartic.lifted)
+    b = enumerate_box_relations(tuple(quartic.lifted))
     assert a == b
 
 
-# -- the packed relation check ------------------------------------------------------
+def _compositions(t, N):
+    if N == 1:
+        yield (t,)
+        return
+    for first in range(t + 1):
+        for rest in _compositions(t - first, N - 1):
+            yield (first,) + rest
+
+
+def _fiber_points(lifted, t):
+    """Every e in N^N with |e| = t, grouped by sum_k e_k * lifted[k]."""
+    fibers = {}
+    for e in _compositions(t, len(lifted)):
+        image = tuple(
+            sum(ek * v[i] for ek, v in zip(e, lifted)) for i in range(len(lifted[0]))
+        )
+        fibers.setdefault(image, set()).add(e)
+    return fibers.values()
+
+
+def _reach(start, moves):
+    # breadth-first search over the nonnegative points, by +l and -l
+    seen = {start}
+    queue = [start]
+    for e in queue:
+        for l in moves:
+            for sign in (1, -1):
+                f = tuple(a + sign * b for a, b in zip(e, l))
+                if min(f) >= 0 and f not in seen:
+                    seen.add(f)
+                    queue.append(f)
+    return seen
+
+
+def _lifted(preset, request):
+    if preset == "dwork-k3":
+        return lift(DWORK_K3_RAW)
+    return request.getfixturevalue(preset).lifted
+
+
+@pytest.mark.parametrize("preset", ["hesse", "quartic", "quintic", "dwork-k3"])
+def test_box_relations_connect_every_fiber(preset, request):
+    # the moves join every fiber of every degree up to the largest move's
+    lifted = _lifted(preset, request)
+    rels = enumerate_box_relations(lifted)
+    for t in range(1, max(map(_degree, rels)) + 1):
+        for points in _fiber_points(lifted, t):
+            assert _reach(min(points), rels) == points
+
+
+@pytest.mark.parametrize("preset", ["hesse", "quartic", "quintic", "dwork-k3"])
+def test_box_relations_generate_the_lattice(preset, request):
+    lifted = _lifted(preset, request)
+    rels = enumerate_box_relations(lifted)
+    for b in kernel_basis(lifted):
+        assert _in_span_Z(rels, b)
+
+
+# -- the relation check --------------------------------------------------------------
 
 
 def _is_relation_reference(lifted, l):

@@ -101,11 +101,11 @@ def test_golden_hw_eval(tmp_path, capsys, name):
 ARGV_GOLDEN = {
     "verify-hesse-cubic-5": (
         ["verify", "--preset", "hesse-cubic", "--p", "5", "--suite", "all"],
-        0, "cfc94a64859a6c638b1b3a01fbc9d1931c1819cefe92e61aa631d7d86372563c",
+        0, "f43fbcfb7e7c0dc4c0bb34e1c134c8f9cb227fe9efc1907d79d6cf164fbc04a3",
     ),
     "verify-quartic-full-3": (
         ["verify", "--preset", "quartic-full", "--p", "3", "--suite", "all"],
-        0, "7c78f34464ea2688d9e8ce435850731dc8b43347bcf8645887400f9d6fc7d3ff",
+        0, "4b97dd28bd0f142a3ceb6af07f8eda21c3e883a503f1303dd8f09af0d3680778",
     ),
     "series-quartic-full-3-i1-j2": (
         ["series", "--preset", "quartic-full", "--p", "3", "--i", "1", "--j", "2"],

@@ -4,7 +4,6 @@ import pytest
 
 from hassewitt import suites
 from hassewitt.algebra import SparseLaurentPoly
-from hassewitt.geometry import enumerate_box_relations
 from hassewitt.hasse_witt import symbolic_entry, symbolic_matrix
 from hassewitt.hypergeometric import (
     box_apply,
@@ -279,8 +278,8 @@ def test_verify_exact_integer_mode(hesse):
 
 
 def test_verify_rejects_non_relation(hesse):
-    # (5, -5, 0, 0) has both parts of order p = 5, so its box operator is
-    # skipped mod p; the relation check must still reject it
+    # (5, -5, 0, 0) has both parts of order p = 5, so its box operator
+    # vanishes mod p; the relation check must still reject it
     for mode, f in (("mod-p", P.constant(4, 1, 5)), ("exact-integer", P.constant(4, 1))):
         for l in ((1, 0, 0, 0), (5, -5, 0, 0)):
             with pytest.raises(ValueError, match="not a lattice relation"):
@@ -345,34 +344,7 @@ def test_truncation_identity_quartic_entries(quartic):
             assert "+" in rep.witnesses["signs"]
 
 
-# -- the mod-p skip of vacuous box operators ---------------------------------------
-
-# (preset, p, box bound): hesse needs bound 15 before a relation, 5*(3,-1,-1,-1),
-# has both parts of order >= 5; quartic at p=3 drops 1980 of its 2000
-SKIP_CASES = [("hesse-cubic", 5, 15), ("quartic-full", 3, None)]
-
-
-def _skipped(relations, p):
-    return [l for l in relations if max(l) >= p and -min(l) >= p]
-
-
-def _random_mod_p_poly(rng, nvars, p):
-    return P(nvars, p, {
-        tuple(rng.randint(-3 * p, 3 * p) for _ in range(nvars)): rng.randint(1, p - 1)
-        for _ in range(6)
-    })
-
-
-@pytest.mark.parametrize("preset,p,bound", SKIP_CASES)
-def test_skipped_box_operators_vanish_mod_p(preset, p, bound):
-    support = support_from_preset(preset)
-    skipped = _skipped(suites._box_relations(support, bound), p)
-    assert skipped
-    rng = random.Random(41)
-    polys = [_random_mod_p_poly(rng, support.N, p) for _ in range(4)]
-    for l in skipped:
-        for f in polys:
-            assert box_apply(l, f).is_zero
+# -- box checks against the Markov moves -----------------------------------------
 
 
 def _mutant(rng, f, p):
@@ -381,12 +353,21 @@ def _mutant(rng, f, p):
     return f + P(f.nvars, p, {exp: rng.randint(1, p - 1)})
 
 
-@pytest.mark.parametrize("preset,p,bound", SKIP_CASES)
-def test_skip_keeps_box_failures_of_mutants(preset, p, bound):
-    # every relation applied, skip or not, must give the reported failures
+def _flip(rng, f, p):
+    """f with one coefficient changed to a different nonzero residue."""
+    exp = rng.choice(sorted(f.terms))
+    terms = dict(f.terms)
+    terms[exp] = rng.choice([c for c in range(1, p) if c != terms[exp]])
+    return P(f.nvars, p, terms)
+
+
+@pytest.mark.parametrize("preset,p", [("hesse-cubic", 5), ("quartic-full", 3)])
+def test_box_failures_of_mutants_match_reference(preset, p):
+    # the reported failures are exactly the relations whose box operator
+    # does not vanish on the mutant
     support = support_from_preset(preset)
     lifted = support.lifted
-    relations = suites._box_relations(support, bound)
+    relations = suites._box_relations(support)
     A = symbolic_matrix(support, p)
     rng = random.Random(43)
     cases = []
@@ -406,6 +387,42 @@ def test_skip_keeps_box_failures_of_mutants(preset, p, bound):
         assert rep.witnesses["relations_checked"] == len(relations)
         caught += bool(reference)
     assert caught  # the comparison covers nonempty failure lists
+
+
+# (preset, p, mutation): at p = 2 every entry is a single term with
+# coefficient 1, so a flip would zero it and an added monomial is used instead
+MUTATION_CASES = [
+    ("quartic-full", 2, "add"),
+    ("quartic-full", 3, "flip"),
+    ("quartic-full", 5, "flip"),
+    ("quintic-full", 3, "flip"),
+]
+
+
+@pytest.mark.parametrize("preset,p,mutation", MUTATION_CASES)
+def test_box_operators_catch_every_seeded_mutant(preset, p, mutation):
+    # 40 seeded mutants of nonzero Hasse-Witt entries; only the box
+    # operators count, not the homogeneity operators
+    support = support_from_preset(preset)
+    lifted = support.lifted
+    relations = suites._box_relations(support)
+    A = symbolic_matrix(support, p)
+    entries = [
+        (A.entries[i][j], tuple(p * a - b for a, b in zip(tuple(u) + (1,), tuple(v) + (1,))))
+        for i, u in enumerate(A.labels)
+        for j, v in enumerate(A.labels)
+        if not A.entries[i][j].is_zero
+    ]
+    mutate = {"add": _mutant, "flip": _flip}[mutation]
+    rng = random.Random(7)
+    caught = 0
+    for _ in range(40):
+        f, beta = rng.choice(entries)
+        rep = verify_hypergeometric_solution(
+            mutate(rng, f, p), beta, relations, lifted, mode="mod-p"
+        )
+        caught += bool(rep.witnesses["box_failures"])
+    assert caught == 40
 
 
 def test_box_relations_built_once_per_run(hesse, monkeypatch):
