@@ -5,7 +5,6 @@ their interior monomials."""
 from .algebra import (
     ExtensionField,
     ExtensionFieldElement,
-    PrimeFieldElement,
     SparseLaurentPoly,
     det_leibniz,
     multinomial_mod_p,
@@ -41,7 +40,6 @@ from .suites import run_suites
 __all__ = [
     "ExtensionField",
     "ExtensionFieldElement",
-    "PrimeFieldElement",
     "SparseLaurentPoly",
     "SupportSet",
     "HypothesisViolation",

@@ -1,12 +1,12 @@
-"""Exact arithmetic: prime fields GF(p), small extensions GF(p^a), and sparse
-multivariate Laurent polynomials.
+"""Exact arithmetic: finite fields GF(p^a) (the prime field is a = 1) and
+sparse multivariate Laurent polynomials.
 
 A SparseLaurentPoly stores its terms as a dict mapping exponent tuples
-(negative entries allowed) to plain int coefficients.  With ``modulus=p``
-every stored coefficient lies in [1, p); with ``modulus=None`` coefficients
-are arbitrary nonzero integers.  Zero coefficients are never stored, and all
-term iteration is in lexicographic exponent order, so serialization is
-deterministic.
+(negative entries allowed) to coefficients.  With ``modulus=p`` every stored
+coefficient is an int in [1, p); with ``modulus=None`` coefficients are
+arbitrary nonzero integers or Fractions.  Zero coefficients are never
+stored, and all term iteration is in lexicographic exponent order, so
+serialization is deterministic.
 """
 
 from __future__ import annotations
@@ -34,75 +34,6 @@ def _require_prime(p):
         raise ValueError(f"modulus {p} is not prime")
 
 
-class PrimeFieldElement:
-    """An element of GF(p), stored as an integer reduced into [0, p)."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value, p):
-        _require_prime(p)
-        self.value = value % p
-        self.p = p
-
-    def _coerce(self, other):
-        if isinstance(other, PrimeFieldElement):
-            if other.p != self.p:
-                raise ValueError("mixed characteristics")
-            return other
-        if isinstance(other, int):
-            return PrimeFieldElement(other, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.value + other.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.value - other.value, self.p)
-
-    def __neg__(self):
-        return PrimeFieldElement(-self.value, self.p)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.value * other.value, self.p)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.value == 0:
-            raise ZeroDivisionError("inversion of 0 in GF(p)")
-        return PrimeFieldElement(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return (
-            isinstance(other, PrimeFieldElement)
-            and self.p == other.p
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __repr__(self):
-        return f"PrimeFieldElement({self.value}, p={self.p})"
-
-
 @lru_cache(maxsize=None)
 def factorial_table(p):
     """Table of 0!, 1!, ..., (p-1)! reduced mod p."""
@@ -119,7 +50,7 @@ def inverse_factorial_table(p):
     return tuple(pow(f, p - 2, p) for f in factorial_table(p))
 
 
-def multinomial_mod_p(e, p) -> PrimeFieldElement:
+def multinomial_mod_p(e, p) -> int:
     """(p-1)! / (e_1! ... e_N!) mod p, for e summing to p-1.
 
     Every e_k < p, so each factorial is a unit mod p and the quotient is
@@ -134,7 +65,7 @@ def multinomial_mod_p(e, p) -> PrimeFieldElement:
     val = factorial_table(p)[p - 1]
     for x in e:
         val = val * inv[x] % p
-    return PrimeFieldElement(val, p)
+    return val
 
 
 class SparseLaurentPoly:
@@ -285,7 +216,7 @@ class SparseLaurentPoly:
         """Canonical text form ``c*L1^e1*...*LN^eN + ...``, lex term order."""
         if self.is_zero:
             return "0"
-        template = "*".join(["%d"] + [f"L{k + 1}^%d" for k in range(self.nvars)])
+        template = "*".join(["%s"] + [f"L{k + 1}^%d" for k in range(self.nvars)])
         return " + ".join(template % (c, *exp) for exp, c in self.sorted_terms())
 
     def __repr__(self):

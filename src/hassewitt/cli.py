@@ -277,7 +277,7 @@ def cmd_series(args, cfg, support):
     i, j = _indices(args, support)
     depth = _depth(args, cfg)
     gi = series_Gi(support, i, depth)
-    ds = derivative_series(support, i, j, depth)
+    ds = derivative_series(gi, j)
     _emit(
         {
             "i": i + 1,
@@ -300,9 +300,10 @@ def cmd_trunc(args, cfg, support):
             f"trunc needs depth >= p = {p}: the window holds series terms "
             f"with -l_i up to p, got depth {depth}"
         )
-    ds = derivative_series(support, i, j, depth)
+    gi = series_Gi(support, i, depth)
+    ds = derivative_series(gi, j)
     truncated = trunc(rho_window(support.N, i), ds.poly.reduce_mod(p), p)
-    report = verify_truncation_identity(support, i, j, p, depth)
+    report = verify_truncation_identity(support, gi, j, p)
     _emit(
         {
             "i": i + 1,

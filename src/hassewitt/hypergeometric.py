@@ -3,7 +3,8 @@ each interior monomial, the mod-p truncation operator, and the verification
 routines tying the series to the Hasse-Witt matrix entries.
 
 Series are represented as depth-limited SparseLaurentPoly values with exact
-integer coefficients; the depth bounds -l_i for the lattice parameters that
+coefficients: G_i's are rational, and the derivative series built from it
+are integral.  The depth bounds -l_i for the lattice parameters that
 generate the terms, which (together with the sign pattern of L_i) bounds
 every exponent coordinate.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import SparseLaurentPoly
@@ -110,22 +112,16 @@ def euler_residuals(lifted, beta, f):
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    poly: SparseLaurentPoly  # integer coefficients
+    poly: SparseLaurentPoly  # exact coefficients: int, or Fraction where not integral
     i: int
     j: int  # equal to i for the underlying logarithmic series itself
     depth: int
 
 
-def _exact_quotient(num, den):
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError(f"non-integer series coefficient {num}/{den}")
-    return q
-
-
 def series_Gi(support: SupportSet, i, depth) -> TruncatedSeries:
     """The series paired with log(L_i): sum over nonzero l in L_i of
     (-1)^{-l_i-1} * (-l_i-1)! / prod_{k != i} l_k! * L^l, to the given depth.
+    A coefficient is an int where it is integral and a Fraction elsewhere.
     """
     if not 0 <= i < support.m:
         raise ValueError(f"index {i} is not an interior-monomial index")
@@ -136,44 +132,41 @@ def series_Gi(support: SupportSet, i, depth) -> TruncatedSeries:
         t = -l[i]
         if t == 0:
             continue
+        num = (-1) ** (t - 1) * math.factorial(t - 1)
         den = math.prod(math.factorial(x) for k, x in enumerate(l) if k != i)
-        coef = (-1) ** (t - 1) * _exact_quotient(math.factorial(t - 1), den)
-        terms[l] = coef
+        q, r = divmod(num, den)
+        terms[l] = Fraction(num, den) if r else q
     return TruncatedSeries(
         poly=SparseLaurentPoly(support.N, None, terms), i=i, j=i, depth=depth
     )
 
 
-def derivative_series(support: SupportSet, i, j, depth) -> TruncatedSeries:
-    """d/dL_j of (log L_i + G_i), as an exact integer-coefficient series.
+def derivative_series(gi: TruncatedSeries, j) -> TruncatedSeries:
+    """d/dL_j of (log L_i + G_i), term by term from the series G_i.
 
-    For j = i the sum runs over all l in L_i (the l = 0 term contributes
-    1/L_i, the derivative of the logarithm); for j != i only l with l_j > 0
-    contribute.  Exponents are l shifted down by one in coordinate j.
+    A term c*L^l with l_j != 0 becomes l_j*c*L^(l - e_j), and j = i adds
+    L_i^{-1}, the derivative of the logarithm.  Every coefficient is an
+    integer (Prop 3.4); one that is not raises ArithmeticError.
     """
-    if not 0 <= i < support.m or not 0 <= j < support.m:
-        raise ValueError("series indices must address interior monomials")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    unit = [0] * support.N
-    unit[j] = 1
+    poly = gi.poly
+    if gi.j != gi.i:
+        raise ValueError("derivative_series differentiates G_i, not a derivative series")
+    if not 0 <= j < poly.nvars:
+        raise ValueError(f"derivative index {j} addresses no variable")
     terms = {}
-    for l in enumerate_Li(support.lifted, i, depth):
-        t = -l[i]
-        if i == j:
-            den = math.prod(math.factorial(x) for k, x in enumerate(l) if k != i)
-            coef = (-1) ** t * _exact_quotient(math.factorial(t), den)
-        else:
-            if l[j] <= 0:
-                continue
-            den = math.factorial(l[j] - 1) * math.prod(
-                math.factorial(x) for k, x in enumerate(l) if k not in (i, j)
-            )
-            coef = (-1) ** (t - 1) * _exact_quotient(math.factorial(t - 1), den)
-        exp = tuple(a - b for a, b in zip(l, unit))
-        terms[exp] = coef
+    if j == gi.i:
+        terms[rho_window(poly.nvars, j)] = 1  # L_i^{-1}: exponent -e_i
+    for l, c in poly.terms.items():
+        lj = l[j]
+        if lj:
+            coef, r = divmod(c.numerator * lj, c.denominator)
+            if r:
+                raise ArithmeticError(
+                    f"non-integer series coefficient {c.numerator * lj}/{c.denominator}"
+                )
+            terms[l[:j] + (lj - 1,) + l[j + 1 :]] = coef
     return TruncatedSeries(
-        poly=SparseLaurentPoly(support.N, None, terms), i=i, j=j, depth=depth
+        poly=SparseLaurentPoly(poly.nvars, None, terms), i=gi.i, j=j, depth=gi.depth
     )
 
 
@@ -287,24 +280,25 @@ def _check_relations(lifted, relations):
             raise ValueError(f"{l} is not a lattice relation")
 
 
-def verify_truncation_identity(support: SupportSet, i, j, p, depth=None) -> VerificationReport:
+def verify_truncation_identity(support: SupportSet, gi: TruncatedSeries, j, p) -> VerificationReport:
     """Compare the Hasse-Witt entry A_ij mod p with +/- L_i^p times the
-    rho-window truncation of the derivative series.
+    rho-window truncation of d/dL_j(log L_i + G_i), for the series gi = G_i.
 
     Both signs are tried and the matching one(s) recorded; the sign is data,
     not an assumption (for p = 2 the two candidates coincide).  The window
-    holds series terms with -l_i up to p, so a depth below p would drop
-    some of them; it raises ValueError.
+    holds series terms with -l_i up to p, so a G_i of depth below p would
+    drop some of them; it raises ValueError.
     """
     start = time.monotonic()
-    if depth is None:
-        depth = p
-    if depth < p:
-        raise ValueError(f"depth {depth} < p = {p} truncates the rho window")
+    if gi.depth < p:
+        raise ValueError(f"depth {gi.depth} < p = {p} truncates the rho window")
+    if not 0 <= j < support.m:
+        raise ValueError(f"index {j} is not an interior-monomial index")
+    i = gi.i
     u = support.exponents[i]
     v = support.exponents[j]
     lhs = symbolic_entry(support, u, v, p)
-    series = derivative_series(support, i, j, depth)
+    series = derivative_series(gi, j)
     truncated = trunc(rho_window(support.N, i), series.poly.reduce_mod(p), p)
     shift = [0] * support.N
     shift[i] = p

@@ -20,6 +20,7 @@ from .geometry import (
     enumerate_box_relations,
 )
 from .hasse_witt import (
+    evaluate_matrix,
     generic_det_check,
     lemma_2_7_violations,
     lemma_2_8_violations,
@@ -30,6 +31,7 @@ from .hasse_witt import (
 from .hypergeometric import (
     derivative_series,
     rho_window,
+    series_Gi,
     trunc,
     verify_hypergeometric_solution,
     verify_truncation_identity,
@@ -40,6 +42,7 @@ SUITE_NAMES = ("2.7", "2.8", "2.9", "2.11", "3.4", "3.7", "3.8", "3.11")
 
 PROP_2_9_FULL_LIMIT = 10**5
 PROP_2_9_SAMPLE = 10**4
+LEMMA_3_7_RANDOM_WINDOWS = 2  # seeded random windows per derivative series
 
 
 @functools.lru_cache(maxsize=1)
@@ -161,8 +164,9 @@ def suite_3_4(support: SupportSet, p, depth=None, **_):
     relations = _box_relations(support)
     failures = []
     for i in range(support.m):
+        gi = series_Gi(support, i, depth)
         for j in range(support.m):
-            series = derivative_series(support, i, j, depth)
+            series = derivative_series(gi, j)
             beta = tuple(-x for x in lifted[j])
             rep = verify_hypergeometric_solution(
                 series.poly,
@@ -187,7 +191,7 @@ def suite_3_4(support: SupportSet, p, depth=None, **_):
     )
 
 
-def suite_3_7(support: SupportSet, p, seed=0, windows_per_series=2, **_):
+def suite_3_7(support: SupportSet, p, seed=0, **_):
     """Truncations of the derivative series over the distinguished window,
     the zero window, and seeded random windows with entries in [-2, 1] are
     exact mod-p solutions; the derivative/truncation commutation congruence
@@ -202,12 +206,13 @@ def suite_3_7(support: SupportSet, p, seed=0, windows_per_series=2, **_):
     failures = []
     windows_checked = 0
     for i in range(support.m):
+        gi = series_Gi(support, i, depth)
         for j in range(support.m):
-            series = derivative_series(support, i, j, depth).poly.reduce_mod(p)
+            series = derivative_series(gi, j).poly.reduce_mod(p)
             windows = [rho_window(N, i), (0,) * N]
             windows += [
                 tuple(rng.randint(-2, 1) for _ in range(N))
-                for _ in range(windows_per_series)
+                for _ in range(LEMMA_3_7_RANDOM_WINDOWS)
             ]
             beta = tuple(-x for x in lifted[j])
             for r in windows:
@@ -243,8 +248,9 @@ def suite_3_8(support: SupportSet, p, **_):
     common = {"+", "-"}
     all_match = True
     for i in range(support.m):
+        gi = series_Gi(support, i, p)
         for j in range(support.m):
-            rep = verify_truncation_identity(support, i, j, p)
+            rep = verify_truncation_identity(support, gi, j, p)
             per_entry.append(rep.witnesses)
             all_match = all_match and rep.passed
             if rep.passed:
@@ -302,8 +308,6 @@ def oracle_equivalence(support: SupportSet, p, a=1, point=None, seed=0):
         pool = list(field.elements())
         point = tuple(rng.choice(pool) for _ in range(support.N))
     A = symbolic_matrix(support, p)
-    from .hasse_witt import evaluate_matrix  # local import to avoid cycle noise
-
     evaluated = evaluate_matrix(A, point, field)
     mism = []
     for i, u in enumerate(A.labels):

@@ -6,7 +6,6 @@ import pytest
 
 from hassewitt.algebra import (
     ExtensionField,
-    PrimeFieldElement,
     SparseLaurentPoly,
     det_leibniz,
     evaluate_laurent,
@@ -75,23 +74,8 @@ def test_multinomial_completeness(p, n):
     direct = {}
     for e in itertools.product(range(p), repeat=n):
         if sum(e) == p - 1:
-            direct[e] = multinomial_mod_p(e, p).value
+            direct[e] = multinomial_mod_p(e, p)
     assert power == P(n, p, direct)
-
-
-# -- prime field -------------------------------------------------------------
-
-
-def test_prime_field_basics():
-    x = PrimeFieldElement(7, 5)
-    assert x.value == 2
-    assert (x + 4).value == 1
-    assert (x * x).value == 4
-    assert (x.inverse() * x) == 1
-    with pytest.raises(ValueError):
-        PrimeFieldElement(1, 6)
-    with pytest.raises(ZeroDivisionError):
-        PrimeFieldElement(0, 5).inverse()
 
 
 def test_is_prime():
@@ -370,6 +354,13 @@ def test_degenerate_extension_matches_prime_field():
     three = F.from_int(3)
     assert (three * three).canonical_str() == "4"
     assert (three + F.from_int(4)).canonical_str() == "2"
+
+
+def test_prime_field_errors():
+    with pytest.raises(ValueError):
+        ExtensionField(6, 1)
+    with pytest.raises(ZeroDivisionError):
+        ExtensionField(5, 1).zero().inverse()
 
 
 def test_irreducible_search_deterministic():

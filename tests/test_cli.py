@@ -1,8 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from hassewitt.cli import main
+from hassewitt.cli import PRESETS, main
+
+from conftest import support_from_preset
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +105,24 @@ def test_series_and_trunc(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["prop_3_8"]["passed"]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_series_every_preset(capsys, preset, p):
+    # quartic-full and quintic-full at p = 5, 7 have rational G_i
+    # coefficients, printed as a/b; every derivative series is integral
+    code, out, err = run_cli(capsys, "series", "--preset", preset, "--p", str(p))
+    if not support_from_preset(preset).m:  # fermat-cubic: no interior monomial
+        assert code == 2 and "series indices" in err
+        return
+    assert code == 0
+    payload = json.loads(out)
+    for term in payload["G_i"].split(" + "):
+        Fraction(term.split("*")[0])
+    for term in payload["derivative_series"].split(" + "):
+        int(term.split("*")[0])
+    assert ("/" in payload["G_i"]) == (preset.endswith("-full") and p > 3)
 
 
 def test_oracle_command(capsys):

@@ -111,6 +111,11 @@ ARGV_GOLDEN = {
         ["series", "--preset", "quartic-full", "--p", "3", "--i", "1", "--j", "2"],
         0, "9a8970b4fb81d6703510bba8858f863b18eded357732b34a19e4d7d792ce43e1",
     ),
+    # G_i starts 560/3*L1^-9*L2^3*L3^3*L4^3: a rational coefficient printed as a/b
+    "series-hesse-cubic-11-i1-j1": (
+        ["series", "--preset", "hesse-cubic", "--p", "11", "--i", "1", "--j", "1"],
+        0, "4fc0771811e0f090df1f00492cb9c0d0542eaccf3a6b46440f8db7d6a3aa3602",
+    ),
     "trunc-quartic-full-3-i1-j2": (
         ["trunc", "--preset", "quartic-full", "--p", "3", "--i", "1", "--j", "2"],
         0, "dc44fe6d3e155b3dc59e3c28961b571121fc48ea16842634281b7892482db89d",

@@ -1,7 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
+from hassewitt import suites
 from hassewitt.algebra import ExtensionField, SparseLaurentPoly
 from hassewitt.geometry import SupportSet, in_Li
 from hassewitt.hasse_witt import (
@@ -88,9 +90,32 @@ def test_scaled_matrix_requires_interior(fermat):
         scaled_matrix(symbolic_matrix(fermat, 5))
 
 
+# Mutants of the Hesse entry A_11 = L1^4 + 4*L1*L2*L3*L4 at p = 5: one adds a
+# monomial whose rescaled exponent leaves L_1, the other changes the
+# coefficient that rescales to the constant term.
+LEMMA_MUTANTS = {
+    "2.7": ({(0, 0, 0, 4): 1}, [(0, 0, (-4, 0, 0, 4))]),
+    "2.8": ({(4, 0, 0, 0): 1}, [(0, 0, 2)]),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(LEMMA_MUTANTS))
+def test_lemma_suites_report_a_mutant_entry(hesse, monkeypatch, suite):
+    added, violations = LEMMA_MUTANTS[suite]
+    A = symbolic_matrix(hesse, 5)
+    entry = A.entries[0][0] + SparseLaurentPoly(4, 5, added)
+    mutant = dataclasses.replace(A, entries=((entry,),))
+    monkeypatch.setattr(suites, "symbolic_matrix", lambda support, p: mutant)
+    reports = {nm: suites.run_suites(hesse, 5, nm)[0] for nm in ("2.7", "2.8")}
+    assert not reports[suite].passed
+    assert reports[suite].witnesses["violations"] == violations
+    other = "2.8" if suite == "2.7" else "2.7"
+    assert reports[other].passed
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_lemma_2_7_and_2_8_hesse(hesse, p):
-    B = scaled_matrix(symbolic_matrix(hesse, p))  # raises on violation
+    B = scaled_matrix(symbolic_matrix(hesse, p))
     for i, row in enumerate(B.entries):
         for j, poly in enumerate(row):
             for l in poly.terms:

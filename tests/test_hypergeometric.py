@@ -1,11 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from hassewitt import suites
+from hassewitt import hypergeometric, suites
 from hassewitt.algebra import SparseLaurentPoly
 from hassewitt.hasse_witt import symbolic_entry, symbolic_matrix
 from hassewitt.hypergeometric import (
+    TruncatedSeries,
+    _monomial_derivative,
     box_apply,
     derivative_series,
     euler_apply,
@@ -138,6 +141,14 @@ def test_Gi_hesse_coefficients(hesse):
     assert g3.poly.terms == {(-3, 1, 1, 1): 2}
 
 
+def test_Gi_rational_coefficients(quartic):
+    # quartic-full at depth 5 has non-integral coefficients such as 6/4 = 3/2;
+    # a Fraction is kept only where the coefficient is not an integer
+    coefficients = series_Gi(quartic, 0, 5).poly.terms.values()
+    assert all(isinstance(c, int) or c.denominator > 1 for c in coefficients)
+    assert Fraction(3, 2) in coefficients or Fraction(-3, 2) in coefficients
+
+
 def test_Gi_trivial_lattice():
     from hassewitt.geometry import SupportSet
 
@@ -152,9 +163,9 @@ def test_Gi_bad_index(hesse):
 
 def test_derivative_series_diagonal(hesse):
     # depth bounds -l_1, so depth 3 admits exactly l = 0 and the generator
-    ds = derivative_series(hesse, 0, 0, 3)
+    ds = derivative_series(series_Gi(hesse, 0, 3), 0)
     assert ds.poly.terms == {(-1, 0, 0, 0): 1, (-4, 1, 1, 1): -6}
-    ds6 = derivative_series(hesse, 0, 0, 6)
+    ds6 = derivative_series(series_Gi(hesse, 0, 6), 0)
     assert ds6.poly.terms == {
         (-1, 0, 0, 0): 1,
         (-4, 1, 1, 1): -6,
@@ -164,7 +175,7 @@ def test_derivative_series_diagonal(hesse):
 
 def test_derivative_series_off_diagonal(quartic):
     # j != i: every exponent is l - e_j with l_j > 0, coefficients integers
-    ds = derivative_series(quartic, 0, 1, 3)
+    ds = derivative_series(series_Gi(quartic, 0, 3), 1)
     assert not ds.poly.is_zero
     for exp, c in ds.poly.terms.items():
         assert isinstance(c, int)
@@ -181,7 +192,40 @@ def test_derivative_series_trivial_off_diagonal():
     if not __import__("hassewitt.geometry", fromlist=["kernel_basis"]).kernel_basis(
         s.lifted
     ):
-        assert derivative_series(s, 0, 1, 3).poly.is_zero
+        assert derivative_series(series_Gi(s, 0, 3), 1).poly.is_zero
+
+
+@pytest.mark.parametrize(
+    "preset,depth", [("hesse-cubic", 11), ("quartic-full", 8), ("quintic-full", 8)]
+)
+def test_derivative_series_matches_monomial_derivative(preset, depth):
+    # the box operators' derivative path, on G_i's rational coefficients
+    support = support_from_preset(preset)
+    N = support.N
+    for i in range(support.m):
+        gi = series_Gi(support, i, depth)
+        for j in range(N):
+            unit = tuple(int(k == j) for k in range(N))
+            expected = _monomial_derivative(gi.poly, unit)
+            if j == i:
+                expected = expected + P.monomial(tuple(-x for x in unit))
+            got = derivative_series(gi, j)
+            assert got.poly == expected
+            assert all(isinstance(c, int) for c in got.poly.terms.values())
+            assert (got.i, got.j, got.depth) == (i, j, depth)
+
+
+def test_derivative_series_rejects_bad_input(hesse):
+    gi = series_Gi(hesse, 0, 6)
+    for j in (-1, hesse.N):
+        with pytest.raises(ValueError):
+            derivative_series(gi, j)
+    with pytest.raises(ValueError):
+        derivative_series(derivative_series(gi, 1), 1)
+    half = TruncatedSeries(P(4, None, {(-2, 1, 1, 0): Fraction(1, 2)}), 0, 0, 2)
+    with pytest.raises(ArithmeticError, match="non-integer"):
+        derivative_series(half, 1)
+    assert derivative_series(half, 3).poly.is_zero
 
 
 # -- truncation ------------------------------------------------------------------
@@ -189,7 +233,7 @@ def test_derivative_series_trivial_off_diagonal():
 
 def test_trunc_rho_window(hesse):
     p = 5
-    ds = derivative_series(hesse, 0, 0, 6).poly.reduce_mod(p)
+    ds = derivative_series(series_Gi(hesse, 0, 6), 0).poly.reduce_mod(p)
     got = trunc(rho_window(4, 0), ds, p)
     # the term at (-7,2,2,2) falls outside s_1 in [-5,-1]
     assert got == P(4, p, {(-1, 0, 0, 0): 1, (-4, 1, 1, 1): -6})
@@ -249,7 +293,7 @@ def test_verify_entry_as_solution(hesse):
 
 def test_verify_truncated_series_mod_p(hesse):
     p = 5
-    ds = derivative_series(hesse, 0, 0, p).poly.reduce_mod(p)
+    ds = derivative_series(series_Gi(hesse, 0, p), 0).poly.reduce_mod(p)
     f = trunc(rho_window(4, 0), ds, p)
     rep = verify_hypergeometric_solution(
         f, hesse_beta(hesse), [HESSE_REL], hesse.lifted, mode="mod-p"
@@ -259,7 +303,7 @@ def test_verify_truncated_series_mod_p(hesse):
 
 def test_verify_detects_corruption(hesse):
     p = 5
-    ds = derivative_series(hesse, 0, 0, p).poly.reduce_mod(p)
+    ds = derivative_series(series_Gi(hesse, 0, p), 0).poly.reduce_mod(p)
     f = trunc(rho_window(4, 0), ds, p)
     corrupted = f + P.monomial((-1, 0, 0, 0), 1, p)
     rep = verify_hypergeometric_solution(
@@ -269,7 +313,7 @@ def test_verify_detects_corruption(hesse):
 
 
 def test_verify_exact_integer_mode(hesse):
-    ds = derivative_series(hesse, 0, 0, 5)
+    ds = derivative_series(series_Gi(hesse, 0, 5), 0)
     rep = verify_hypergeometric_solution(
         ds.poly, hesse_beta(hesse), [HESSE_REL], hesse.lifted, mode="exact-integer"
     )
@@ -320,7 +364,7 @@ def test_verify_validates_each_relation_tuple_once(hesse, monkeypatch):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_truncation_identity_hesse(hesse, p):
-    rep = verify_truncation_identity(hesse, 0, 0, p)
+    rep = verify_truncation_identity(hesse, series_Gi(hesse, 0, p), 0, p)
     assert rep.passed
     assert rep.witnesses["signs"] == ["+"]
 
@@ -331,7 +375,7 @@ def test_truncation_identity_trivial_lattice():
 
     s = SupportSet.build(1, 2, [(1, 1)])
     p = 5
-    rep = verify_truncation_identity(s, 0, 0, p)
+    rep = verify_truncation_identity(s, series_Gi(s, 0, p), 0, p)
     assert rep.passed
     assert rep.witnesses["entry"] == P.monomial((p - 1,), 1, p).canonical_str()
 
@@ -339,7 +383,7 @@ def test_truncation_identity_trivial_lattice():
 def test_truncation_identity_quartic_entries(quartic):
     for i in range(quartic.m):
         for j in range(quartic.m):
-            rep = verify_truncation_identity(quartic, i, j, 3)
+            rep = verify_truncation_identity(quartic, series_Gi(quartic, i, 3), j, 3)
             assert rep.passed
             assert "+" in rep.witnesses["signs"]
 
@@ -375,7 +419,7 @@ def test_box_failures_of_mutants_match_reference(preset, p):
         for j, v in enumerate(A.labels):
             beta = tuple(p * a - b for a, b in zip(tuple(u) + (1,), tuple(v) + (1,)))
             cases.append((A.entries[i][j], beta))
-            series = derivative_series(support, i, j, 2 * p + 2).poly.reduce_mod(p)
+            series = derivative_series(series_Gi(support, i, 2 * p + 2), j).poly.reduce_mod(p)
             cases.append((trunc(rho_window(support.N, i), series, p),
                           tuple(-x for x in lifted[j])))
     caught = 0
@@ -439,7 +483,21 @@ def test_box_relations_built_once_per_run(hesse, monkeypatch):
     assert isinstance(suites._box_relations(hesse), tuple)
 
 
+def test_Li_enumerated_once_per_i_per_suite(quartic, monkeypatch):
+    # suite 2.9 and each series suite (3.4, 3.7, 3.8) enumerate L_i once per i
+    calls = []
+    real = suites.enumerate_Li
+    for module in (suites, hypergeometric):
+        monkeypatch.setattr(
+            module, "enumerate_Li",
+            lambda *args: calls.append(args[1:]) or real(*args),
+        )
+    assert all(r.passed for r in suites.run_suites(quartic, 3))
+    assert len(calls) == 4 * quartic.m == 12
+    assert len(set(calls)) == 2 * quartic.m  # depth p for 2.9, 3.4, 3.8; 2p+2 for 3.7
+
+
 def test_truncation_identity_needs_depth_p(quartic):
     with pytest.raises(ValueError, match="depth"):
-        verify_truncation_identity(quartic, 0, 1, 3, depth=2)
-    assert verify_truncation_identity(quartic, 0, 1, 3, depth=3).passed
+        verify_truncation_identity(quartic, series_Gi(quartic, 0, 2), 1, 3)
+    assert verify_truncation_identity(quartic, series_Gi(quartic, 0, 3), 1, 3).passed
