@@ -29,6 +29,7 @@ from .hypergeometric import (
     box_apply,
     derivative_series,
     euler_apply,
+    rho_truncation,
     series_Gi,
     trunc,
     verify_hypergeometric_solution,
@@ -56,6 +57,7 @@ __all__ = [
     "kernel_basis",
     "multinomial_mod_p",
     "oracle_dense_coefficient",
+    "rho_truncation",
     "run_suites",
     "scaled_matrix",
     "series_Gi",

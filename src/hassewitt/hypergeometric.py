@@ -35,21 +35,10 @@ def _falling(s, m):
     return (-1) ** m * math.perm(m - 1 - s, m)
 
 
-def _monomial_derivative(f: SparseLaurentPoly, orders):
-    """Apply prod_k (d/dL_k)^{orders[k]} via falling factorials on exponents.
-
-    The factors are multiplied in Z and reduced by the polynomial's own
-    modulus.
-    """
-    out = {}
-    _add_derivative(out, f, orders, 1)
-    return SparseLaurentPoly(f.nvars, f.modulus, out)
-
-
 def _add_derivative(out, f, orders, sign):
-    """Add sign times the terms of the monomial derivative of f of the given
-    orders into the dict ``out``, unreduced.  Each term visits only the
-    coordinates with a nonzero order."""
+    """Add sign times the terms of prod_k (d/dL_k)^{orders[k]} f, by falling
+    factorials on exponents, into the dict ``out``, unreduced.  Each term
+    visits only the coordinates with a nonzero order."""
     active = [(k, m) for k, m in enumerate(orders) if m]
     for exp, c in f.terms.items():
         c *= sign
@@ -280,26 +269,30 @@ def _check_relations(lifted, relations):
             raise ValueError(f"{l} is not a lattice relation")
 
 
-def verify_truncation_identity(support: SupportSet, gi: TruncatedSeries, j, p) -> VerificationReport:
-    """Compare the Hasse-Witt entry A_ij mod p with +/- L_i^p times the
-    rho-window truncation of d/dL_j(log L_i + G_i), for the series gi = G_i.
-
-    Both signs are tried and the matching one(s) recorded; the sign is data,
-    not an assumption (for p = 2 the two candidates coincide).  The window
-    holds series terms with -l_i up to p, so a G_i of depth below p would
-    drop some of them; it raises ValueError.
-    """
-    start = time.monotonic()
+def rho_truncation(gi: TruncatedSeries, j, p) -> SparseLaurentPoly:
+    """The truncation mod p of d/dL_j(log L_i + G_i), gi = G_i, over the
+    window rho_window(N, i).  The window holds series terms with -l_i up to
+    p, so a G_i of depth below p would drop some of them; it raises
+    ValueError."""
     if gi.depth < p:
         raise ValueError(f"depth {gi.depth} < p = {p} truncates the rho window")
-    if not 0 <= j < support.m:
-        raise ValueError(f"index {j} is not an interior-monomial index")
-    i = gi.i
+    series = derivative_series(gi, j)
+    return trunc(rho_window(gi.poly.nvars, gi.i), series.poly.reduce_mod(p), p)
+
+
+def verify_truncation_identity(support: SupportSet, i, j, p, truncated) -> VerificationReport:
+    """Compare the Hasse-Witt entry A_ij mod p with +/- L_i^p times
+    ``truncated``, the rho_truncation of d/dL_j(log L_i + G_i).
+
+    Both signs are tried and the matching one(s) recorded; the sign is data,
+    not an assumption (for p = 2 the two candidates coincide).
+    """
+    start = time.monotonic()
+    if not (0 <= i < support.m and 0 <= j < support.m):
+        raise ValueError(f"({i}, {j}) are not interior-monomial indices")
     u = support.exponents[i]
     v = support.exponents[j]
     lhs = symbolic_entry(support, u, v, p)
-    series = derivative_series(gi, j)
-    truncated = trunc(rho_window(support.N, i), series.poly.reduce_mod(p), p)
     shift = [0] * support.N
     shift[i] = p
     rhs = truncated.shift(shift)

@@ -20,6 +20,7 @@ from .geometry import (
     enumerate_box_relations,
 )
 from .hasse_witt import (
+    HypothesisViolation,
     evaluate_matrix,
     generic_det_check,
     lemma_2_7_violations,
@@ -30,6 +31,7 @@ from .hasse_witt import (
 )
 from .hypergeometric import (
     derivative_series,
+    rho_truncation,
     rho_window,
     series_Gi,
     trunc,
@@ -63,10 +65,17 @@ def _relation_coverage(relations, N, p):
     }
 
 
+def _require_interior_monomial(support: SupportSet, statement):
+    # a suite that checks one set or series per interior monomial checks
+    # nothing when the support holds none
+    if not support.m:
+        raise HypothesisViolation(f"{statement} needs an interior monomial in the support")
+
+
 def suite_2_7(support: SupportSet, p, **_):
     start = time.monotonic()
     B = scaled_matrix(symbolic_matrix(support, p))
-    bad = lemma_2_7_violations(support, p, B.entries)
+    bad = lemma_2_7_violations(support, B.entries)
     monomials = sum(len(poly.terms) for row in B.entries for poly in row)
     return VerificationReport(
         statement="lemma-2.7",
@@ -93,6 +102,7 @@ def suite_2_9(support: SupportSet, p, depth=None, seed=0, **_):
     to zero only at the all-zero tuple; also runs the exact convex-
     combination certificate on every nonzero element encountered.
     """
+    _require_interior_monomial(support, "prop-2.9")
     start = time.monotonic()
     if depth is None:
         depth = p
@@ -157,6 +167,7 @@ def suite_3_4(support: SupportSet, p, depth=None, **_):
     by the homogeneity operators with the negated lifted column as
     parameter, and box checks under the truncation-boundary rule.
     """
+    _require_interior_monomial(support, "prop-3.4")
     start = time.monotonic()
     if depth is None:
         depth = p
@@ -197,6 +208,7 @@ def suite_3_7(support: SupportSet, p, seed=0, **_):
     exact mod-p solutions; the derivative/truncation commutation congruence
     is exercised separately on random polynomials by the test suite.
     """
+    _require_interior_monomial(support, "lemma-3.7")
     start = time.monotonic()
     lifted = support.lifted
     N = support.N
@@ -243,6 +255,7 @@ def suite_3_8(support: SupportSet, p, **_):
     """Entrywise comparison of A_ij with the signed, shifted truncation of
     the derivative series; passes when every entry matches and one common
     sign works for all of them."""
+    _require_interior_monomial(support, "prop-3.8")
     start = time.monotonic()
     per_entry = []
     common = {"+", "-"}
@@ -250,7 +263,7 @@ def suite_3_8(support: SupportSet, p, **_):
     for i in range(support.m):
         gi = series_Gi(support, i, p)
         for j in range(support.m):
-            rep = verify_truncation_identity(support, gi, j, p)
+            rep = verify_truncation_identity(support, i, j, p, rho_truncation(gi, j, p))
             per_entry.append(rep.witnesses)
             all_match = all_match and rep.passed
             if rep.passed:

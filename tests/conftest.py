@@ -1,12 +1,39 @@
 import pytest
 
-from hassewitt import SupportSet
+from hassewitt import SparseLaurentPoly, SupportSet
 from hassewitt.cli import PRESETS
 
 
 def support_from_preset(name):
     cfg = PRESETS[name]
     return SupportSet.build(cfg["n"], cfg["d"], cfg["exponents"])
+
+
+def det_cofactor(mat):
+    # independent oracle: expansion along the first row
+    m = len(mat)
+    if m == 1:
+        return mat[0][0]
+    proto = mat[0][0]
+    acc = SparseLaurentPoly.zero(proto.nvars, proto.modulus)
+    for j in range(m):
+        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
+        term = mat[0][j] * det_cofactor(minor)
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc
+
+
+def monomial_derivative(f, orders):
+    # independent oracle: prod_k (d/dL_k)^{orders[k]} f, term by term
+    out = {}
+    for exp, c in f.terms.items():
+        for e, m in zip(exp, orders):
+            for t in range(m):
+                c *= e - t
+        if c:
+            key = tuple(e - m for e, m in zip(exp, orders))
+            out[key] = out.get(key, 0) + c
+    return SparseLaurentPoly(f.nvars, f.modulus, out)
 
 
 @pytest.fixture

@@ -20,9 +20,9 @@ from hassewitt.hasse_witt import (
     symbolic_entry,
     symbolic_matrix,
 )
-from hassewitt.hypergeometric import trunc, _monomial_derivative
+from hassewitt.hypergeometric import trunc
 from hassewitt.suites import run_suites
-from conftest import support_from_preset
+from conftest import monomial_derivative, support_from_preset
 
 HESSE = support_from_preset("hesse-cubic")
 FERMAT = support_from_preset("fermat-cubic")
@@ -156,8 +156,8 @@ def test_criterion_6_truncations_and_commutation():
         r = tuple(rng.randint(-2, 1) for _ in range(nvars))
         k = rng.randrange(nvars)
         orders = tuple(int(c == k) for c in range(nvars))
-        ok = ok and _monomial_derivative(trunc(r, f, p), orders) == trunc(
-            r, _monomial_derivative(f, orders), p
+        ok = ok and monomial_derivative(trunc(r, f, p), orders) == trunc(
+            r, monomial_derivative(f, orders), p
         )
     _verdict("6 (lemma 3.7 truncations + commutation)", ok)
 

@@ -17,6 +17,8 @@ from hassewitt.algebra import (
     specialize,
 )
 
+from conftest import det_cofactor
+
 P = SparseLaurentPoly
 
 
@@ -140,20 +142,6 @@ def test_canonical_str_deterministic():
 
 
 # -- determinants -------------------------------------------------------------
-
-
-def det_cofactor(mat):
-    # independent oracle: expansion along the first row
-    m = len(mat)
-    if m == 1:
-        return mat[0][0]
-    proto = mat[0][0]
-    acc = SparseLaurentPoly.zero(proto.nvars, proto.modulus)
-    for j in range(m):
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = mat[0][j] * det_cofactor(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
 
 
 def test_det_identity_and_diag():

@@ -115,6 +115,7 @@ def test_series_every_preset(capsys, preset, p):
     code, out, err = run_cli(capsys, "series", "--preset", preset, "--p", str(p))
     if not support_from_preset(preset).m:  # fermat-cubic: no interior monomial
         assert code == 2 and "series indices" in err
+        assert "no interior monomial" in err
         return
     assert code == 0
     payload = json.loads(out)
@@ -155,6 +156,31 @@ def test_hypothesis_violation_exit_3(capsys):
     code, _, err = run_cli(capsys, "generic-det", "--preset", "fermat-cubic", "--p", "5")
     assert code == 3
     assert "interior" in err
+
+
+@pytest.mark.parametrize("suite", ["2.9", "3.4", "3.7", "3.8"])
+def test_suites_without_interior_monomial_exit_3(capsys, suite):
+    # fermat-cubic has no interior monomial in its support: these suites
+    # take one series or set per interior monomial and would check nothing
+    code, out, err = run_cli(
+        capsys, "verify", "--preset", "fermat-cubic", "--p", "5", "--suite", suite
+    )
+    assert code == 3 and not out
+    assert "needs an interior monomial" in err
+
+
+def test_suite_3_11_checks_the_fermat_entry(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--preset", "fermat-cubic", "--p", "5", "--suite", "3.11"
+    )
+    assert code == 0
+    assert json.loads(out)["reports"][0]["witnesses"]["entries_checked"] == 1
+
+
+def test_trunc_without_interior_monomial_exit_2(capsys):
+    code, _, err = run_cli(capsys, "trunc", "--preset", "fermat-cubic", "--p", "5")
+    assert code == 2
+    assert "series indices" in err and "no interior monomial" in err
 
 
 def test_deterministic_output(capsys):

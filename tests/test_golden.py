@@ -43,14 +43,14 @@ GOLDEN = {
     ("hw-symbolic", "quintic-full", 3): (0, "5df71b8b480e9cf608a5e9557be7ae54eac0f94cb9c9bec2949b8e22f386a424"),
     ("hw-symbolic", "quintic-full", 5): (0, "b104f44b2e88511c045cc60ba6a70efe15cee33a43ba3a31fe7702108c2cf122"),
     ("hw-symbolic", "quintic-full", 7): (0, "64e183a24b961ae17981cabfd0e89f34532db47d1fd7ca67bc6a37f938b1300d"),
-    ("generic-det", "hesse-cubic", 3): (0, "6bc9779fdc8f3b4ccef1c840260e1c0f01503596adeaef0f4aea123e46310292"),
-    ("generic-det", "hesse-cubic", 5): (0, "a4829b0b1f2cec7dd1fc5aab1ab77870413c277be53c2045a62778847c2f818f"),
-    ("generic-det", "hesse-cubic", 7): (0, "ace57123514dc244c787b70d99cf7c95ee79379699c5ab9842b33fd322157638"),
-    ("generic-det", "quartic-full", 2): (0, "0ea2a2be44c9a4a9637aa489b5e02c3b359918bba89527abb0f3c451060ac79b"),
-    ("generic-det", "quartic-full", 3): (0, "b464af745ab934539a0874aac89df200ccd2e6797e83d316b7a2dc4870ffc36d"),
-    ("generic-det", "quartic-full", 5): (0, "3e5f2bb6401a1cfa12a70a6faf41ae351f9228305927cb56c14c254f0af29445"),
+    ("generic-det", "hesse-cubic", 3): (0, "91ae4e4d6c96a47bc9d3a5102572b3216b7295822849614b40367886c563a997"),
+    ("generic-det", "hesse-cubic", 5): (0, "b0fe66f6e76dc3a6cf9c048c4346833f61697c6a025ff6343d2a047d6755f480"),
+    ("generic-det", "hesse-cubic", 7): (0, "081b7121a03733c69d538557c389442387bda8516374b0e65a5e86d3f83e62ae"),
+    ("generic-det", "quartic-full", 2): (0, "3fc43e8e9c72347228e09acbd61bf209ae3be70044bb2801a913a0b70b67c2be"),
+    ("generic-det", "quartic-full", 3): (0, "8fdead51870ffa8cf1e180d4ddb4298baf1a7b073921d57eac3880d650aadaba"),
+    ("generic-det", "quartic-full", 5): (0, "e2393312350078d36e07cdbd834a33f0e60f67ad0ff726bbad6838d92ef57559"),
     # the only 6x6 case: memoised minors deeper than 2x2
-    ("generic-det", "quintic-full", 2): (0, "52bc88f7c226c5b64b32888f9ed1c08c9af1c1e876a7d5513ff2b09c50423e39"),
+    ("generic-det", "quintic-full", 2): (0, "8f611d4a8307119ee6b47aa937d47c35d144b2d8620976affa6b4dfc3f85d1c6"),
 }
 
 
@@ -96,16 +96,16 @@ def test_golden_hw_eval(tmp_path, capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# verify, series and trunc cases with their own arguments, pinned like
+# verify, series, trunc and oracle cases with their own arguments, pinned like
 # GOLDEN (seconds stripped): name -> (argv, exit code, sha256)
 ARGV_GOLDEN = {
     "verify-hesse-cubic-5": (
         ["verify", "--preset", "hesse-cubic", "--p", "5", "--suite", "all"],
-        0, "f43fbcfb7e7c0dc4c0bb34e1c134c8f9cb227fe9efc1907d79d6cf164fbc04a3",
+        0, "f14f5168a1e46d3228d259564b2e982a0acdd6cb6d670a3c5054eaa71585cbaf",
     ),
     "verify-quartic-full-3": (
         ["verify", "--preset", "quartic-full", "--p", "3", "--suite", "all"],
-        0, "4b97dd28bd0f142a3ceb6af07f8eda21c3e883a503f1303dd8f09af0d3680778",
+        0, "74a9ed5d63c4a8469511218f8ecc7b1c831a5661d81dcdb5dd87182a20f7ce4c",
     ),
     "series-quartic-full-3-i1-j2": (
         ["series", "--preset", "quartic-full", "--p", "3", "--i", "1", "--j", "2"],
@@ -115,6 +115,23 @@ ARGV_GOLDEN = {
     "series-hesse-cubic-11-i1-j1": (
         ["series", "--preset", "hesse-cubic", "--p", "11", "--i", "1", "--j", "1"],
         0, "4fc0771811e0f090df1f00492cb9c0d0542eaccf3a6b46440f8db7d6a3aa3602",
+    ),
+    # oracle with no lambda: a point drawn from the config's seed (0)
+    "oracle-hesse-cubic-3": (
+        ["oracle", "--preset", "hesse-cubic", "--p", "3"],
+        0, "0c2977a0bbe048afb9f6cecf451731191b249f77d4c576f146c7efb2b8a710df",
+    ),
+    "oracle-hesse-cubic-5": (
+        ["oracle", "--preset", "hesse-cubic", "--p", "5"],
+        0, "a14101ef8ee1baa524ff6a302770ed4a0679781486129e2e0fdaea50ad55ba48",
+    ),
+    "oracle-hesse-cubic-7": (
+        ["oracle", "--preset", "hesse-cubic", "--p", "7"],
+        0, "227a4a5a3a9299914522ed886a3de2f00c3b80356d6d0101ecd08b52cd19fd41",
+    ),
+    "oracle-quartic-full-3": (
+        ["oracle", "--preset", "quartic-full", "--p", "3"],
+        0, "f55bbc9c753eb2596f1662585c04f93df0d29836e570b9119b950a2111173b5e",
     ),
     "trunc-quartic-full-3-i1-j2": (
         ["trunc", "--preset", "quartic-full", "--p", "3", "--i", "1", "--j", "2"],

@@ -1,10 +1,12 @@
 import dataclasses
+import json
 import random
 
 import pytest
 
-from hassewitt import suites
-from hassewitt.algebra import ExtensionField, SparseLaurentPoly
+from hassewitt import hasse_witt, suites
+from hassewitt.algebra import ExtensionField, SparseLaurentPoly, det_leibniz
+from hassewitt.cli import main
 from hassewitt.geometry import SupportSet, in_Li
 from hassewitt.hasse_witt import (
     HypothesisViolation,
@@ -17,6 +19,9 @@ from hassewitt.hasse_witt import (
     symbolic_matrix,
     sweep_ranks,
 )
+
+from conftest import det_cofactor, support_from_preset
+from test_golden import GOLDEN
 
 U111 = (1, 1, 1)
 
@@ -131,7 +136,7 @@ def test_generic_det_hesse_p5(hesse):
     assert rep.passed
     w = rep.witnesses
     assert w["det_B_constant_term"] == 1
-    assert w["det_A_nonzero"] and w["scaling_identity"]
+    assert w["det_A_nonzero"] and "scaling_identity" not in w
     # det A = L1^4 + 4*L1*L2*L3*L4 (1x1 matrix)
     assert w["det_A"] == "4*L1^1*L2^1*L3^1*L4^1 + 1*L1^4*L2^0*L3^0*L4^0"
 
@@ -146,6 +151,63 @@ def test_generic_det_quartic_p3(quartic):
 def test_generic_det_fermat_errors(fermat):
     with pytest.raises(HypothesisViolation):
         generic_det_check(fermat, 5)
+
+
+@pytest.mark.parametrize(
+    "preset,p", sorted((pr, p) for cmd, pr, p in GOLDEN if cmd == "generic-det")
+)
+def test_det_B_is_det_A_times_a_monomial(preset, p):
+    # B rescales row i by L_i^-p and column j by L_j, so by multilinearity
+    # det B = det A * prod_{k<m} L_k^(1-p); generic_det_check relies on it
+    support = support_from_preset(preset)
+    A = symbolic_matrix(support, p)
+    delta = [1 - p if k < support.m else 0 for k in range(support.N)]
+    assert det_leibniz(scaled_matrix(A).entries) == det_leibniz(A.entries).shift(delta)
+
+
+def test_generic_det_matches_cofactor_oracle(quartic):
+    w = generic_det_check(quartic, 3).witnesses
+    A = symbolic_matrix(quartic, 3)
+    assert w["det_A"] == det_cofactor(A.entries).canonical_str()
+    assert w["det_B"] == det_cofactor(scaled_matrix(A).entries).canonical_str()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generic-det", "--preset", "quartic-full", "--p", "3"],
+        ["verify", "--preset", "quartic-full", "--p", "3", "--suite", "2.11"],
+    ],
+)
+def test_one_det_leibniz_per_generic_det(capsys, monkeypatch, argv):
+    calls = []
+    real = hasse_witt.det_leibniz
+    monkeypatch.setattr(
+        hasse_witt, "det_leibniz", lambda mat: calls.append(mat) or real(mat)
+    )
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+# A mutant whose (1,1) entry gains 1 at the exponent (p-1)*e_1, the monomial
+# that rescales to the constant term of B_11: det B then has constant term 2.
+@pytest.mark.parametrize("preset,p", [("hesse-cubic", 5), ("quartic-full", 3)])
+def test_generic_det_reports_a_mutant_entry(capsys, monkeypatch, preset, p):
+    support = support_from_preset(preset)
+    A = symbolic_matrix(support, p)
+    bump = SparseLaurentPoly.monomial((p - 1,) + (0,) * (support.N - 1), 1, p)
+    rows = [list(row) for row in A.entries]
+    rows[0][0] = rows[0][0] + bump
+    mutant = dataclasses.replace(A, entries=tuple(tuple(r) for r in rows))
+    monkeypatch.setattr(hasse_witt, "symbolic_matrix", lambda support, p: mutant)
+    assert main(["generic-det", "--preset", preset, "--p", str(p)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["det_B_constant_term"] == 2
+    assert payload["prop_2_11"] == "fail" and payload["thm_2_3"] == "fail"
+    report = suites.run_suites(support, p, "2.11")[0]
+    assert not report.passed
+    assert report.witnesses["det_B_constant_term"] == 2
 
 
 # -- evaluation ----------------------------------------------------------------------

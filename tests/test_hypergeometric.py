@@ -8,10 +8,10 @@ from hassewitt.algebra import SparseLaurentPoly
 from hassewitt.hasse_witt import symbolic_entry, symbolic_matrix
 from hassewitt.hypergeometric import (
     TruncatedSeries,
-    _monomial_derivative,
     box_apply,
     derivative_series,
     euler_apply,
+    rho_truncation,
     rho_window,
     series_Gi,
     trunc,
@@ -19,7 +19,7 @@ from hassewitt.hypergeometric import (
     verify_truncation_identity,
 )
 
-from conftest import support_from_preset
+from conftest import monomial_derivative, support_from_preset
 
 P = SparseLaurentPoly
 
@@ -84,7 +84,7 @@ def test_box_mod_p_agrees_with_integer_lift():
 
 
 def test_box_apply_is_difference_of_derivatives():
-    from hassewitt.hypergeometric import _monomial_derivative, relation_parts
+    from hassewitt.hypergeometric import relation_parts
 
     rng = random.Random(29)
     for _ in range(200):
@@ -95,7 +95,7 @@ def test_box_apply_is_difference_of_derivatives():
         })
         l = tuple(rng.randint(-4, 4) for _ in range(4))
         lp, lm = relation_parts(l)
-        assert box_apply(l, f) == _monomial_derivative(f, lp) - _monomial_derivative(f, lm)
+        assert box_apply(l, f) == monomial_derivative(f, lp) - monomial_derivative(f, lm)
 
 
 # -- Euler operators -----------------------------------------------------------
@@ -199,14 +199,14 @@ def test_derivative_series_trivial_off_diagonal():
     "preset,depth", [("hesse-cubic", 11), ("quartic-full", 8), ("quintic-full", 8)]
 )
 def test_derivative_series_matches_monomial_derivative(preset, depth):
-    # the box operators' derivative path, on G_i's rational coefficients
+    # a term-by-term derivative, on G_i's rational coefficients
     support = support_from_preset(preset)
     N = support.N
     for i in range(support.m):
         gi = series_Gi(support, i, depth)
         for j in range(N):
             unit = tuple(int(k == j) for k in range(N))
-            expected = _monomial_derivative(gi.poly, unit)
+            expected = monomial_derivative(gi.poly, unit)
             if j == i:
                 expected = expected + P.monomial(tuple(-x for x in unit))
             got = derivative_series(gi, j)
@@ -270,10 +270,8 @@ def test_trunc_commutes_with_derivative_mod_p():
         r = tuple(rng.randint(-2, 1) for _ in range(nvars))
         k = rng.randrange(nvars)
         orders = tuple(int(c == k) for c in range(nvars))
-        from hassewitt.hypergeometric import _monomial_derivative
-
-        lhs = _monomial_derivative(trunc(r, f, p), orders)
-        rhs = trunc(r, _monomial_derivative(f, orders), p)
+        lhs = monomial_derivative(trunc(r, f, p), orders)
+        rhs = trunc(r, monomial_derivative(f, orders), p)
         assert lhs == rhs
 
 
@@ -364,7 +362,8 @@ def test_verify_validates_each_relation_tuple_once(hesse, monkeypatch):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_truncation_identity_hesse(hesse, p):
-    rep = verify_truncation_identity(hesse, series_Gi(hesse, 0, p), 0, p)
+    truncated = rho_truncation(series_Gi(hesse, 0, p), 0, p)
+    rep = verify_truncation_identity(hesse, 0, 0, p, truncated)
     assert rep.passed
     assert rep.witnesses["signs"] == ["+"]
 
@@ -375,15 +374,16 @@ def test_truncation_identity_trivial_lattice():
 
     s = SupportSet.build(1, 2, [(1, 1)])
     p = 5
-    rep = verify_truncation_identity(s, series_Gi(s, 0, p), 0, p)
+    rep = verify_truncation_identity(s, 0, 0, p, rho_truncation(series_Gi(s, 0, p), 0, p))
     assert rep.passed
     assert rep.witnesses["entry"] == P.monomial((p - 1,), 1, p).canonical_str()
 
 
 def test_truncation_identity_quartic_entries(quartic):
     for i in range(quartic.m):
+        gi = series_Gi(quartic, i, 3)
         for j in range(quartic.m):
-            rep = verify_truncation_identity(quartic, series_Gi(quartic, i, 3), j, 3)
+            rep = verify_truncation_identity(quartic, i, j, 3, rho_truncation(gi, j, 3))
             assert rep.passed
             assert "+" in rep.witnesses["signs"]
 
@@ -499,5 +499,13 @@ def test_Li_enumerated_once_per_i_per_suite(quartic, monkeypatch):
 
 def test_truncation_identity_needs_depth_p(quartic):
     with pytest.raises(ValueError, match="depth"):
-        verify_truncation_identity(quartic, series_Gi(quartic, 0, 2), 1, 3)
-    assert verify_truncation_identity(quartic, series_Gi(quartic, 0, 3), 1, 3).passed
+        rho_truncation(series_Gi(quartic, 0, 2), 1, 3)
+    truncated = rho_truncation(series_Gi(quartic, 0, 3), 1, 3)
+    assert verify_truncation_identity(quartic, 0, 1, 3, truncated).passed
+
+
+@pytest.mark.parametrize("i,j", [(-1, 0), (0, 3), (3, 0)])
+def test_truncation_identity_rejects_non_interior_indices(quartic, i, j):
+    truncated = rho_truncation(series_Gi(quartic, 0, 3), 0, 3)
+    with pytest.raises(ValueError, match="interior-monomial"):
+        verify_truncation_identity(quartic, i, j, 3, truncated)
