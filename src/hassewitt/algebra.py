@@ -230,10 +230,9 @@ def specialize(poly, point, k, field):
 
     Every x_k exponent of the support is a key, even where its coefficient
     cancels to zero, so that evaluate_laurent still refuses x_k = 0 when a
-    term has a negative x_k exponent.  The powers of each fixed coordinate
-    come from one table per call, built by repeated multiplication; a 0
-    substituted into a variable with a negative exponent raises
-    ZeroDivisionError.
+    term has a negative x_k exponent.  Each factor point[j]**e is one field
+    operation (a product on the discrete log); a 0 substituted into a
+    variable with a negative exponent raises ZeroDivisionError.
     """
     if len(point) != poly.nvars:
         raise ValueError("point has wrong length")
@@ -241,33 +240,15 @@ def specialize(poly, point, k, field):
         raise ValueError("field characteristic does not match modulus")
     if not 0 <= k < poly.nvars:
         raise ValueError(f"variable index {k} out of range for {poly.nvars} variables")
-    if not poly.terms:
-        return {}
-    powers = [
-        _power_table(x, min(col), max(col), field) if j != k else None
-        for j, (x, col) in enumerate(zip(point, zip(*poly.terms)))
-    ]
     out = {}
     for exp, c in poly.terms.items():
         val = field.from_int(c)
         for j, e in enumerate(exp):
             if e and j != k:
-                val = val * powers[j][e]
+                val = val * point[j] ** e
         e = exp[k]
         out[e] = out[e] + val if e in out else val
     return out
-
-
-def _power_table(x, lo, hi, field):
-    """{e: x**e} for every e from min(lo, 0) to max(hi, 0)."""
-    table = {0: field.one()}
-    for e in range(1, hi + 1):
-        table[e] = table[e - 1] * x
-    if lo < 0:
-        inv = x.inverse()
-        for e in range(-1, lo - 1, -1):
-            table[e] = table[e + 1] * inv
-    return table
 
 
 def evaluate_laurent(coeffs, x, field):
@@ -398,8 +379,10 @@ def _unpacker(nvars, width):
 
 
 # ---------------------------------------------------------------------------
-# Extension fields GF(p^a).  Internal helpers work on dense coefficient
-# tuples (constant term first) over GF(p).
+# Extension fields GF(p^a).  The polynomial helpers below work on dense
+# coefficient tuples (constant term first) over GF(p).  They run once per
+# field, in find_irreducible and in building the log tables, never per
+# operation.
 # ---------------------------------------------------------------------------
 
 
@@ -421,22 +404,17 @@ def _pmul(f, g, p):
     return _ptrim(out)
 
 
-def _pdivmod(f, g, p):
+def _pmod(f, g, p):
+    """The remainder of f modulo the monic g."""
     f = list(f)
     dg = len(g) - 1
-    inv_lead = pow(g[-1], p - 2, p)
-    quot = [0] * max(0, len(f) - dg)
-    while len(f) - 1 >= dg and any(f):
-        if f[-1] == 0:
-            f.pop()
-            continue
+    while len(f) > dg:
         shift = len(f) - 1 - dg
-        coef = f[-1] * inv_lead % p
-        quot[shift] = coef
+        coef = f[-1]
         for i in range(dg + 1):
             f[shift + i] = (f[shift + i] - coef * g[i]) % p
         f.pop()
-    return _ptrim(quot), _ptrim(f)
+    return _ptrim(f)
 
 
 def _is_irreducible(poly, p):
@@ -449,8 +427,7 @@ def _is_irreducible(poly, p):
     for ddeg in range(1, deg // 2 + 1):
         for lower in itertools.product(range(p), repeat=ddeg):
             g = tuple(lower) + (1,)
-            _, rem = _pdivmod(poly, g, p)
-            if not rem:
+            if not _pmod(poly, g, p):
                 return False
     return True
 
@@ -473,36 +450,77 @@ def find_irreducible(p, a):
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+@lru_cache(maxsize=None)
+def _log_tables(p, a):
+    """(coeffs, log, zech) for GF(p^a): coeffs[k] is the coefficient tuple
+    of g^k, for g the first generator of GF(q)^x in lexicographic coefficient
+    order, and coeffs[q-1] is the zero tuple; log is the inverse map, and
+    zech[k] = log(1 + g^k) for k < q - 1."""
+    modulus = find_irreducible(p, a)
+    one = (1,) + (0,) * (a - 1)
+
+    def times(f, g):
+        rem = _pmod(_pmul(f, g, p), modulus, p)
+        return rem + (0,) * (a - len(rem))
+
+    for g in itertools.product(range(p), repeat=a):
+        if not any(g):
+            continue
+        powers, x = [one], g
+        while x != one:
+            powers.append(x)
+            x = times(x, g)
+        if len(powers) == p**a - 1:
+            break
+    coeffs = tuple(powers) + ((0,) * a,)
+    log = {c: k for k, c in enumerate(coeffs)}
+    zech = tuple(log[((c[0] + 1) % p,) + c[1:]] for c in powers)
+    return coeffs, log, zech
+
+
+# the tables of GF(2^16) take seconds and tens of MB to build
+FIELD_BOUND = 2**16
+
+
 class ExtensionField:
-    """GF(p^a) as GF(p)[t] modulo the canonical irreducible of degree a."""
+    """GF(p^a) as GF(p)[t] modulo the canonical irreducible of degree a.
+    Its _log_tables hold q entries each, so q may not exceed FIELD_BOUND."""
 
     def __init__(self, p, a=1):
         _require_prime(p)
+        # a past the bound's bit length is over the bound for every p, and
+        # p**a is not computed for a huge a
+        if a >= FIELD_BOUND.bit_length() or p**a > FIELD_BOUND:
+            raise ValueError(
+                f"GF({p}^{a}) has more than FIELD_BOUND = {FIELD_BOUND} elements"
+            )
         self.p = p
         self.a = a
         self.q = p**a
         self.modulus = find_irreducible(p, a)
+        self._coeffs, self._log, self._zech = _log_tables(p, a)
 
     def element(self, coeffs) -> "ExtensionFieldElement":
         coeffs = [c % self.p for c in coeffs]
         if len(coeffs) > self.a:
             raise ValueError(f"coefficient vector longer than degree {self.a}")
-        coeffs += [0] * (self.a - len(coeffs))
-        return ExtensionFieldElement(self, tuple(coeffs))
+        return ExtensionFieldElement(
+            self, self._log[tuple(coeffs) + (0,) * (self.a - len(coeffs))]
+        )
 
     def from_int(self, c) -> "ExtensionFieldElement":
         return self.element([c])
 
     def zero(self):
-        return self.element([])
+        return ExtensionFieldElement(self, self.q - 1)
 
     def one(self):
-        return self.element([1])
+        return ExtensionFieldElement(self, 0)
 
     def elements(self):
         """All q elements, in lexicographic coefficient order."""
         for coeffs in itertools.product(range(self.p), repeat=self.a):
-            yield ExtensionFieldElement(self, coeffs)
+            yield ExtensionFieldElement(self, self._log[coeffs])
 
     def __eq__(self, other):
         return (
@@ -518,13 +536,14 @@ class ExtensionField:
 
 
 class ExtensionFieldElement:
-    """Element of GF(p^a) in the polynomial basis (constant term first)."""
+    """Element of GF(p^a), held as its discrete log k (q - 1 for zero): a
+    product adds logs, and a sum is one Zech-log lookup."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "k")
 
-    def __init__(self, field, coeffs):
+    def __init__(self, field, k):
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.k = k
 
     def _check(self, other):
         if not isinstance(other, ExtensionFieldElement) or other.field != self.field:
@@ -532,86 +551,54 @@ class ExtensionFieldElement:
 
     def __add__(self, other):
         self._check(other)
-        p = self.field.p
-        return ExtensionFieldElement(
-            self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        field = self.field
+        n = field.q - 1
+        if self.k == n:
+            return other
+        if other.k == n:
+            return self
+        z = field._zech[(other.k - self.k) % n]
+        return ExtensionFieldElement(field, n if z == n else (self.k + z) % n)
 
     def __sub__(self, other):
-        self._check(other)
-        p = self.field.p
-        return ExtensionFieldElement(
-            self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self + -other
 
     def __neg__(self):
-        p = self.field.p
-        return ExtensionFieldElement(self.field, tuple(-a % p for a in self.coeffs))
+        return self * self.field.from_int(-1)
 
     def __mul__(self, other):
         self._check(other)
-        p = self.field.p
-        prod = _pmul(_ptrim(self.coeffs), _ptrim(other.coeffs), p)
-        _, rem = _pdivmod(prod, self.field.modulus, p) if prod else ((), ())
-        rem = list(rem) + [0] * (self.field.a - len(rem))
-        return ExtensionFieldElement(self.field, tuple(rem))
+        n = self.field.q - 1
+        if self.k == n or other.k == n:
+            return ExtensionFieldElement(self.field, n)
+        return ExtensionFieldElement(self.field, (self.k + other.k) % n)
 
     def inverse(self):
-        """Inverse by the extended Euclidean algorithm on polynomials."""
-        if not any(self.coeffs):
+        return self ** -1
+
+    def __pow__(self, e):
+        n = self.field.q - 1
+        if self.k != n:
+            return ExtensionFieldElement(self.field, self.k * e % n)
+        if e < 0:
             raise ZeroDivisionError("inversion of 0 in GF(q)")
-        p = self.field.p
-        r0, r1 = self.field.modulus, _ptrim(self.coeffs)
-        s0, s1 = (), (1,)
-        while r1:
-            q, r = _pdivmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _ptrim(
-                [
-                    (a - b) % p
-                    for a, b in itertools.zip_longest(
-                        s0, _pmul(q, s1, p), fillvalue=0
-                    )
-                ]
-            )
-        # r0 is now a nonzero constant gcd
-        inv_const = pow(r0[0], p - 2, p)
-        res = [c * inv_const % p for c in s0]
-        res += [0] * (self.field.a - len(res))
-        return ExtensionFieldElement(self.field, tuple(res[: self.field.a]))
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        acc = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        return self if e else self.field.one()
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.k != self.field.q - 1
 
     def __eq__(self, other):
         return (
             isinstance(other, ExtensionFieldElement)
             and self.field == other.field
-            and self.coeffs == other.coeffs
+            and self.k == other.k
         )
 
     def __hash__(self):
-        return hash((self.field.p, self.field.a, self.coeffs))
+        return hash((self.field.p, self.field.a, self.k))
 
     def canonical_str(self):
-        if self.field.a == 1:
-            return str(self.coeffs[0])
-        return ",".join(str(c) for c in self.coeffs)
+        return ",".join(map(str, self.field._coeffs[self.k]))
 
     def __repr__(self):
         return f"<GF({self.field.p}^{self.field.a}) {self.canonical_str()}>"

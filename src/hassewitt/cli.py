@@ -4,8 +4,9 @@ Reads a family configuration (JSON file or named preset), dispatches the
 requested computation, and prints canonical JSON (or CSV for rank sweeps) on
 standard output.
 
-Exit codes: 0 all-pass, 1 verification failure, 2 malformed configuration,
-3 hypothesis violation (interior set not contained in the support).
+Exit codes: 0 all-pass, 1 verification failure, 2 malformed configuration
+(a field above FIELD_BOUND included), 3 hypothesis violation (interior set
+not contained in the support).
 """
 
 from __future__ import annotations
@@ -127,6 +128,14 @@ def build_support(cfg) -> SupportSet:
         raise ConfigError(str(exc))
 
 
+def _field(cfg):
+    """The config's GF(p^a); a field above FIELD_BOUND is a ConfigError."""
+    try:
+        return ExtensionField(cfg["p"], cfg["a"])
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+
+
 def parse_lambda(cfg, support: SupportSet):
     """Parse the specialization point and permute it into internal index
     order (interior monomials first)."""
@@ -139,7 +148,7 @@ def parse_lambda(cfg, support: SupportSet):
         raise ConfigError(
             f"'lambda' has {len(raw)} entries, support has {support.N}"
         )
-    field = ExtensionField(cfg["p"], cfg["a"])
+    field = _field(cfg)
     parsed = []
     for item in raw:
         if _is_int(item):
@@ -326,6 +335,7 @@ def cmd_verify(args, cfg, support):
 
 
 def cmd_oracle(args, cfg, support):
+    _field(cfg)  # a field above FIELD_BOUND exits 2 before the oracle builds it
     point = None
     if cfg.get("lambda") is not None:
         point, _ = parse_lambda(cfg, support)

@@ -9,6 +9,15 @@ def support_from_preset(name):
     return SupportSet.build(cfg["n"], cfg["d"], cfg["exponents"])
 
 
+def strip_seconds(obj):
+    """A CLI JSON payload without its ``seconds`` timing fields."""
+    if isinstance(obj, dict):
+        return {k: strip_seconds(v) for k, v in obj.items() if k != "seconds"}
+    if isinstance(obj, list):
+        return [strip_seconds(v) for v in obj]
+    return obj
+
+
 def det_cofactor(mat):
     # independent oracle: expansion along the first row
     m = len(mat)
@@ -24,14 +33,18 @@ def det_cofactor(mat):
 
 
 def monomial_derivative(f, orders):
-    # independent oracle: prod_k (d/dL_k)^{orders[k]} f, term by term
+    # independent oracle: prod_k (d/dL_k)^{orders[k]} f, term by term; a
+    # coordinate of order 0 changes no term, so only the others are visited
+    active = [(k, m) for k, m in enumerate(orders) if m]
     out = {}
     for exp, c in f.terms.items():
-        for e, m in zip(exp, orders):
+        key = list(exp)
+        for k, m in active:
             for t in range(m):
-                c *= e - t
+                c *= exp[k] - t
+            key[k] -= m
         if c:
-            key = tuple(e - m for e, m in zip(exp, orders))
+            key = tuple(key)
             out[key] = out.get(key, 0) + c
     return SparseLaurentPoly(f.nvars, f.modulus, out)
 

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from hassewitt import algebra
 from hassewitt.algebra import (
+    FIELD_BOUND,
     ExtensionField,
     SparseLaurentPoly,
     det_leibniz,
@@ -381,3 +383,109 @@ def test_extension_inverse_random():
     for _ in range(50):
         x = rng.choice(pool)
         assert x * x.inverse() == F.one()
+
+
+# -- GF(q) against schoolbook polynomial arithmetic -----------------------------
+#
+# Elements are discrete logs looked up in per-field tables, so identities such
+# as x * x.inverse() == 1 hold by construction.  This reference shares no code
+# with those tables: it multiplies coefficient tuples by hand and reduces mod
+# the field's monic modulus.
+
+
+def school_mul(f, g, modulus, p):
+    a = len(modulus) - 1
+    prod = [0] * (2 * a - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            prod[i + j] += x * y
+    for top in range(len(prod) - 1, a - 1, -1):
+        c = prod[top]
+        for i, m in enumerate(modulus):
+            prod[top - a + i] -= c * m
+    return tuple(x % p for x in prod[:a])
+
+
+def schoolbook_mismatches(F):
+    """Every disagreement of F's *, +, -, unary -, inverse() and x**e
+    (e in -3..q) with schoolbook arithmetic, as (operation, operands)."""
+    p, a, mod = F.p, F.a, F.modulus
+    tuples = list(itertools.product(range(p), repeat=a))
+    one, zero = (1,) + (0,) * (a - 1), (0,) * a
+
+    def text(c):
+        return ",".join(map(str, c))
+
+    bad = []
+    for x in tuples:
+        ex = F.element(x)
+        if ex.canonical_str() != text(x) or bool(ex) != (x != zero):
+            bad.append(("element", x))
+        if (-ex).canonical_str() != text(tuple(-c % p for c in x)):
+            bad.append(("neg", x))
+        for y in tuples:
+            ey = F.element(y)
+            if (ex * ey).canonical_str() != text(school_mul(x, y, mod, p)):
+                bad.append(("mul", x, y))
+            if (ex + ey).canonical_str() != text(tuple((c + d) % p for c, d in zip(x, y))):
+                bad.append(("add", x, y))
+            if (ex - ey).canonical_str() != text(tuple((c - d) % p for c, d in zip(x, y))):
+                bad.append(("sub", x, y))
+        if x == zero:
+            with pytest.raises(ZeroDivisionError):
+                ex.inverse()
+            for e in (-3, -2, -1):
+                with pytest.raises(ZeroDivisionError):
+                    ex**e
+            expected = {0: one, **{e: zero for e in range(1, F.q + 1)}}
+        else:
+            inv = next(y for y in tuples if school_mul(x, y, mod, p) == one)
+            if ex.inverse().canonical_str() != text(inv):
+                bad.append(("inverse", x))
+            expected, up, down = {}, one, one
+            for e in range(F.q + 1):
+                expected[e] = up
+                up = school_mul(up, x, mod, p)
+            for e in (-1, -2, -3):
+                down = school_mul(down, inv, mod, p)
+                expected[e] = down
+        for e, want in expected.items():
+            if (ex**e).canonical_str() != text(want):
+                bad.append(("pow", x, e))
+    return bad
+
+
+GF_SIZES = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2)]
+
+
+@pytest.mark.parametrize("p,a", GF_SIZES, ids=[f"GF{p**a}" for p, a in GF_SIZES])
+def test_field_matches_schoolbook_arithmetic(p, a):
+    assert schoolbook_mismatches(ExtensionField(p, a)) == []
+
+
+@pytest.mark.parametrize("p,a", [(2, 3), (3, 2), (5, 2)])
+@pytest.mark.parametrize("table", ["_zech", "_coeffs"])
+def test_schoolbook_check_catches_one_corrupted_table_entry(p, a, table):
+    rng = random.Random(p * 100 + a)
+    for _ in range(3):
+        F = ExtensionField(p, a)
+        entries = list(getattr(F, table))
+        k = rng.randrange(len(entries))
+        entries[k] = rng.choice([v for v in entries if v != entries[k]])
+        setattr(F, table, tuple(entries))  # this instance only: the cache is intact
+        assert schoolbook_mismatches(F)
+    assert schoolbook_mismatches(ExtensionField(p, a)) == []
+
+
+def test_field_bound():
+    assert FIELD_BOUND == 2**16
+    for p, a in [(5, 40), (2, 17), (65537, 1), (2, 10**12)]:
+        with pytest.raises(ValueError, match="FIELD_BOUND"):
+            ExtensionField(p, a)
+
+
+def test_field_bound_is_inclusive(monkeypatch):
+    monkeypatch.setattr(algebra, "FIELD_BOUND", 9)
+    assert ExtensionField(3, 2).q == 9
+    with pytest.raises(ValueError, match="FIELD_BOUND = 9"):
+        ExtensionField(2, 4)

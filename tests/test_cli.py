@@ -5,7 +5,7 @@ import pytest
 
 from hassewitt.cli import PRESETS, main
 
-from conftest import support_from_preset
+from conftest import strip_seconds, support_from_preset
 
 
 def run_cli(capsys, *argv):
@@ -417,3 +417,34 @@ def test_box_suite_runs_over_the_determinant_bound(tmp_path, capsys):
     assert code == 0
     witnesses = json.loads(out)["reports"][0]["witnesses"]
     assert witnesses["entries_checked"] == 100
+
+
+# GF(5^40) is far above FIELD_BOUND = 2**16: every command that builds a field
+# exits 2 and names the bound; the others never build one and ignore a.
+@pytest.mark.parametrize(
+    "argv,lam",
+    [(["hw-eval"], True), (["hw-eval", "--sweep", "k=4"], True),
+     (["oracle"], True), (["oracle"], False)],
+    ids=["hw-eval", "hw-eval-sweep", "oracle-lambda", "oracle-seeded"],
+)
+def test_field_over_the_bound_exit_2(tmp_path, capsys, argv, lam):
+    extra = {"lambda": [1, 1, 1, 2]} if lam else {}
+    path = write_config(tmp_path, a=40, **extra)
+    code, out, err = run_cli(capsys, *argv, "--config", path)
+    assert code == 2
+    assert out == ""
+    assert "FIELD_BOUND = 65536" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["hw-symbolic"], ["generic-det"], ["verify", "--suite", "2.7"], ["series"],
+     ["trunc"]],
+    ids=["hw-symbolic", "generic-det", "verify-2.7", "series", "trunc"],
+)
+def test_commands_without_a_field_ignore_a(tmp_path, capsys, argv):
+    code, big, _ = run_cli(capsys, *argv, "--config", write_config(tmp_path, a=40))
+    assert code == 0
+    code, small, _ = run_cli(capsys, *argv, "--config", write_config(tmp_path, a=1))
+    assert code == 0
+    assert strip_seconds(json.loads(big)) == strip_seconds(json.loads(small))

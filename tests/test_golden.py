@@ -13,19 +13,13 @@ import pytest
 
 from hassewitt.cli import PRESETS, main
 
-
-def _strip_seconds(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_seconds(v) for k, v in obj.items() if k != "seconds"}
-    if isinstance(obj, list):
-        return [_strip_seconds(v) for v in obj]
-    return obj
+from conftest import strip_seconds
 
 
 def canonical_digest(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
-    text = json.dumps(_strip_seconds(json.loads(out)), indent=2, sort_keys=True)
+    text = json.dumps(strip_seconds(json.loads(out)), indent=2, sort_keys=True)
     return code, hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -82,6 +76,12 @@ HW_EVAL_GOLDEN = {
          "2,0", "0,1", "1,1", "2,2", "1,0"],
         [],
         0, "a38caae1bbc57b65c37d166750786e0bfcfaf63207aadac009f47b41d1bf00f5",
+    ),
+    # a prime-field sweep: the entry is lambda^6 + 6*lambda^3 + 6, which has no
+    # root in GF(7), so every rank is 1
+    "sweep-hesse-gf7-k4": (
+        "hesse-cubic", 7, 1, [1, 2, 3, 0], ["--sweep", "k=4"],
+        0, "165882d12946d544cf95312b53384a66ff773702dde5f57b6fe622a6f34aa22b",
     ),
 }
 
@@ -144,3 +144,27 @@ ARGV_GOLDEN = {
 def test_golden_argv(capsys, name):
     argv, code, digest = ARGV_GOLDEN[name]
     assert canonical_digest(capsys, argv) == (code, digest)
+
+
+# oracle over GF(p^a) with no lambda: the point is drawn with the config's seed
+# (0) from field.elements(), so these pin the element order as well as the
+# agreement of evaluate_matrix with the dense expansion: name -> (preset, p, a,
+# exit code, sha256 of canonical stdout, seconds stripped)
+ORACLE_GF_GOLDEN = {
+    "oracle-hesse-cubic-gf25": (
+        "hesse-cubic", 5, 2,
+        0, "eba6ec996346013fd6a63e4a13fc31ab4ff7e6d3186d841be57ef7514926dd7f",
+    ),
+    "oracle-quartic-full-gf9": (
+        "quartic-full", 3, 2,
+        0, "9a99e40ba04ac767f06e38cf3411a09310fffb406dcbd98937e84f501b200fa1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GF_GOLDEN))
+def test_golden_oracle_extension_field(tmp_path, capsys, name):
+    preset, p, a, code, digest = ORACLE_GF_GOLDEN[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(PRESETS[preset], p=p, a=a)))
+    assert canonical_digest(capsys, ["oracle", "--config", str(path)]) == (code, digest)
