@@ -212,12 +212,24 @@ class SparseLaurentPoly:
         """
         return evaluate_laurent(specialize(self, point, 0, field), point[0], field)
 
-    def canonical_str(self) -> str:
-        """Canonical text form ``c*L1^e1*...*LN^eN + ...``, lex term order."""
+    def canonical_str(self, shift=None) -> str:
+        """Canonical text form ``c*L1^e1*...*LN^eN + ...``, lex term order.
+
+        With ``shift``, the text of ``self.shift(shift)``, built without that
+        polynomial: adding one vector to every exponent keeps the lex order,
+        so each sorted term is printed with the shift added.
+        """
+        if shift is not None:
+            shift = tuple(shift)
+            if len(shift) != self.nvars:
+                raise ValueError("shift vector has wrong length")
         if self.is_zero:
             return "0"
         template = "*".join(["%s"] + [f"L{k + 1}^%d" for k in range(self.nvars)])
-        return " + ".join(template % (c, *exp) for exp, c in self.sorted_terms())
+        terms = self.sorted_terms()
+        if shift is not None:
+            terms = ((map(operator.add, exp, shift), c) for exp, c in terms)
+        return " + ".join(template % (c, *exp) for exp, c in terms)
 
     def __repr__(self):
         return f"<SparseLaurentPoly {self.canonical_str()} (mod {self.modulus})>"
@@ -278,8 +290,9 @@ def det_leibniz(mat) -> SparseLaurentPoly:
     of rows r+1..m-1 on the subsets of S: m * 2**(m-1) products rather than
     m! * (m-1).  Every product works on exponents packed into one int each
     (see _pack_entries), so multiplying two terms is one int addition; the
-    exponents are unpacked once, at the end.  Coefficients are reduced mod
-    the common modulus, and zeros dropped, once per minor.
+    exponents are unpacked once, at the end, in the order of the packed
+    keys, which is lex order.  Coefficients are reduced mod the common
+    modulus, and zeros dropped, once per minor.
     """
     m = len(mat)
     if any(len(row) != m for row in mat):
@@ -292,8 +305,6 @@ def det_leibniz(mat) -> SparseLaurentPoly:
     for row in mat:
         for entry in row:
             proto._check_compat(entry)
-    if m == 1:
-        return proto
     packed, width, lo = _pack_entries(mat)
     modulus = proto.modulus
     # minors[S] for the column subsets S (bitmasks) of size m - r, rows r..m-1
@@ -331,7 +342,7 @@ def det_leibniz(mat) -> SparseLaurentPoly:
     return SparseLaurentPoly(
         proto.nvars,
         modulus,
-        {tuple(map(operator.add, unpack(k), offsets)): c for k, c in det.items()},
+        {tuple(map(operator.add, unpack(k), offsets)): det[k] for k in sorted(det)},
     )
 
 
@@ -339,13 +350,15 @@ def _pack_entries(mat):
     """The entries as {packed exponent: coefficient} dicts, with the field
     width and the per-coordinate offsets lo.
 
-    Coordinate k of exponent e is stored as e_k - lo_k in bits
-    [k*width, (k+1)*width), where lo_k is the least k-th exponent over all
-    entries and hi_k the greatest.  The packed key of a product of r terms
-    is the sum of their keys, standing for the exponent sum minus r*lo.
-    Each field of such a sum is at most r*(hi_k - lo_k) <= m*(hi_k - lo_k),
-    and the width keeps that below 2**width, so no field carries into the
-    next.  The width is a whole number of bytes of a machine integer where
+    Coordinate k of an exponent e of N coordinates is stored as e_k - lo_k
+    in bits [(N-1-k)*width, (N-k)*width), coordinate 0 most significant,
+    where lo_k is the least k-th exponent over all entries and hi_k the
+    greatest.  The packed key of a product of r terms is the sum of their
+    keys, standing for the exponent sum minus r*lo.  Each field of such a
+    sum is at most r*(hi_k - lo_k) <= m*(hi_k - lo_k), and the width keeps
+    that below 2**width, so no field carries into the next, and the int
+    order of keys of r-term products is the lex order of their exponents.
+    The width is a whole number of bytes of a machine integer where
     it can be, which _unpacker reads with one struct call.
     """
     m = len(mat)
@@ -354,7 +367,7 @@ def _pack_entries(mat):
     spread = max((m * (max(col) - low) for col, low in zip(columns, lo)), default=0)
     bits = spread.bit_length()
     width = next((w for w in (8, 16, 32, 64) if bits <= w), bits)
-    shifts = [k * width for k in range(len(lo))]
+    shifts = [(len(lo) - 1 - k) * width for k in range(len(lo))]
     packed = [
         [
             {
@@ -369,13 +382,16 @@ def _pack_entries(mat):
 
 
 def _unpacker(nvars, width):
-    """The inverse of _pack_entries' packing: a packed key -> its fields."""
+    """The inverse of _pack_entries' packing: a packed key -> its fields,
+    coordinate 0 (the most significant field) first."""
     code = {8: "B", 16: "H", 32: "I", 64: "Q"}.get(width)
     if code is not None:
-        layout = struct.Struct(f"<{nvars}{code}")
-        return lambda key: layout.unpack(key.to_bytes(layout.size, "little"))
+        layout = struct.Struct(f">{nvars}{code}")
+        return lambda key: layout.unpack(key.to_bytes(layout.size, "big"))
     mask = (1 << width) - 1
-    return lambda key: [(key >> (k * width)) & mask for k in range(nvars)]
+    return lambda key: [
+        (key >> ((nvars - 1 - k) * width)) & mask for k in range(nvars)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +562,9 @@ class ExtensionFieldElement:
         self.k = k
 
     def _check(self, other):
-        if not isinstance(other, ExtensionFieldElement) or other.field != self.field:
+        if not isinstance(other, ExtensionFieldElement) or (
+            other.field is not self.field and other.field != self.field
+        ):
             raise ValueError("operands lie in different fields")
 
     def __add__(self, other):
@@ -564,7 +582,12 @@ class ExtensionFieldElement:
         return self + -other
 
     def __neg__(self):
-        return self * self.field.from_int(-1)
+        # -1 is g^((q-1)/2) for odd p, and 1 for p = 2
+        field = self.field
+        n = field.q - 1
+        if self.k == n or field.p == 2:
+            return self
+        return ExtensionFieldElement(field, (self.k + n // 2) % n)
 
     def __mul__(self, other):
         self._check(other)

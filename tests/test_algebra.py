@@ -1,6 +1,8 @@
 import itertools
 import math
+import operator
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -143,6 +145,33 @@ def test_canonical_str_deterministic():
     assert P.zero(2, 5).canonical_str() == "0"
 
 
+def test_canonical_str_with_shift_matches_shift():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        p = rng.choice([2, 3, 5, 7])
+        nvars = rng.randint(1, 4)
+        f = random_poly(rng, nvars, p, nterms=rng.randint(0, 6))
+        delta = [rng.randint(-4, 4) for _ in range(nvars)]
+        assert f.canonical_str(delta) == f.shift(delta).canonical_str()
+    half = P(2, None, {(1, -2): Fraction(1, 2), (0, 3): Fraction(-7, 3), (2, 2): 4})
+    assert half.canonical_str((3, -1)) == half.shift((3, -1)).canonical_str()
+    assert half.canonical_str((3, -1)) == (
+        "-7/3*L1^3*L2^2 + 1/2*L1^4*L2^-3 + 4*L1^5*L2^1"
+    )
+    assert P.zero(3, 5).canonical_str((1, 2, 3)) == "0"
+
+
+def test_canonical_str_rejects_a_shift_of_the_wrong_length():
+    f = mono((1, 2), 3, p=5)
+    for delta in [(1,), (1, 2, 3), ()]:
+        with pytest.raises(ValueError):
+            f.canonical_str(delta)
+        with pytest.raises(ValueError):
+            f.shift(delta)
+    with pytest.raises(ValueError):
+        P.zero(2, 5).canonical_str((1,))
+
+
 # -- determinants -------------------------------------------------------------
 
 
@@ -208,7 +237,9 @@ def test_det_matches_cofactor_random(modulus):
         for nvars in (1, 2, 3):
             for _ in range(3 if m < 5 else 1):
                 mat = [[random_entry(rng, nvars, modulus) for _ in range(m)] for _ in range(m)]
-                assert det_leibniz(mat) == det_cofactor(mat)
+                d = det_leibniz(mat)
+                assert d == det_cofactor(mat)
+                assert list(d.terms) == sorted(d.terms)
 
 
 @pytest.mark.parametrize("modulus", [None, 3])
@@ -252,9 +283,13 @@ def test_det_wide_exponents(lo, hi):
             ]
             for _ in range(m)
         ]
-        assert det_leibniz(mat) == det_cofactor(mat)
+        d = det_leibniz(mat)
+        assert d == det_cofactor(mat)
+        assert list(d.terms) == sorted(d.terms)
     top, bottom = mono((hi, lo)), mono((lo, hi))
-    assert det_leibniz([[top, bottom], [bottom, top]]) == mono((2 * hi, 2 * lo)) - mono((2 * lo, 2 * hi))
+    d = det_leibniz([[top, bottom], [bottom, top]])
+    assert d == mono((2 * hi, 2 * lo)) - mono((2 * lo, 2 * hi))
+    assert list(d.terms) == sorted(d.terms)
 
 
 # -- specialization ------------------------------------------------------------
@@ -344,6 +379,26 @@ def test_degenerate_extension_matches_prime_field():
     three = F.from_int(3)
     assert (three * three).canonical_str() == "4"
     assert (three + F.from_int(4)).canonical_str() == "2"
+
+
+def test_fields_built_separately_combine():
+    F, G = ExtensionField(5, 2), ExtensionField(5, 2)
+    assert F is not G and F == G
+    x, y = F.element([2, 3]), G.element([4, 1])
+    assert (x * y).canonical_str() == (x * F.element([4, 1])).canonical_str()
+    assert (x + y).canonical_str() == "1,4"
+    assert (x - y).canonical_str() == "3,2"
+    assert x * y == y * x
+
+
+def test_elements_of_different_fields_rejected():
+    for F, G in [((5, 2), (5, 1)), ((5, 1), (7, 1))]:
+        x, y = ExtensionField(*F).one(), ExtensionField(*G).one()
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError, match="different fields"):
+                op(x, y)
+            with pytest.raises(ValueError, match="different fields"):
+                op(y, x)
 
 
 def test_prime_field_errors():
