@@ -15,6 +15,7 @@ from .geometry import (
     enumerate_Li,
     enumerate_representations,
     kernel_basis,
+    representation_coefficients,
 )
 from .hasse_witt import (
     HypothesisViolation,
@@ -57,6 +58,7 @@ __all__ = [
     "kernel_basis",
     "multinomial_mod_p",
     "oracle_dense_coefficient",
+    "representation_coefficients",
     "rho_truncation",
     "run_suites",
     "scaled_matrix",

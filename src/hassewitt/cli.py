@@ -5,8 +5,9 @@ requested computation, and prints canonical JSON (or CSV for rank sweeps) on
 standard output.
 
 Exit codes: 0 all-pass, 1 verification failure, 2 malformed configuration
-(a field above FIELD_BOUND included), 3 hypothesis violation (interior set
-not contained in the support).
+(a field above FIELD_BOUND or an --out that cannot be written included), 3
+hypothesis violation (interior set not contained in the support), 141
+(128 + SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 
 from .algebra import DET_BOUND, ExtensionField, is_prime
@@ -168,12 +170,36 @@ def parse_lambda(cfg, support: SupportSet):
     return tuple(parsed[k] for k in support.input_order), field
 
 
-def _emit(payload, out_path=None):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _dump_json(payload, fh):
+    json.dump(payload, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
+def _dump_lines(lines, fh):
+    fh.writelines(line + "\n" for line in lines)
+
+
+def _emit(payload, out_path=None, dump=_dump_json):
+    """Stream ``payload`` to stdout and, with --out, to that file first:
+    canonical JSON, or with ``dump=_dump_lines`` one line per string.  No
+    string of the whole output is built."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+            dump(payload, fh)
+    dump(payload, sys.stdout)
+
+
+def _check_out(path):
+    """A ConfigError, before any computation, when --out cannot be opened
+    for writing.  The probe changes nothing: an existing file is opened for
+    append, and one that it creates is removed again."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {path}: {exc.strerror}")
+    if not existed:
+        os.remove(path)
 
 
 def _matrix_json(A):
@@ -211,14 +237,8 @@ def cmd_hw_eval(args, cfg, support):
     A = symbolic_matrix(support, cfg["p"])
     if k is not None:
         ranks = sweep_ranks(A, point, k, field)
-        text = "\n".join(
-            ["lambda_k,rank"]
-            + [f"{x.canonical_str()},{r}" for x, r in zip(field.elements(), ranks)]
-        )
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        print(text)
+        rows = [f"{x.canonical_str()},{r}" for x, r in zip(field.elements(), ranks)]
+        _emit(["lambda_k,rank"] + rows, args.out, _dump_lines)
         return 0
     ev = evaluate_matrix(A, point, field)
     _emit(
@@ -391,13 +411,24 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args)
         support = build_support(cfg)
-        return COMMANDS[args.command](args, cfg, support)
+        if args.out:
+            _check_out(args.out)
+        code = COMMANDS[args.command](args, cfg, support)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except HypothesisViolation as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader of stdout is gone: point its file descriptor at
+        # os.devnull, so that the flush at shutdown does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a reader hanging up
 
 
 if __name__ == "__main__":

@@ -17,6 +17,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .algebra import factorial_table, inverse_factorial_table
+
 
 def enumerate_interior(d, n):
     """All u in N^{n+1} with sum(u) = d and every u_i > 0, in lex order.
@@ -106,16 +108,38 @@ class SupportSet:
 
 
 def enumerate_representations(lifted, target):
-    """All e in N^N with sum_k e_k * lifted[k] = target, lex-ascending in e.
+    """All e in N^N with sum_k e_k * lifted[k] = target, lex-ascending in e."""
+    # with every weight 1, each value of the walk is 1 and only its keys count
+    return list(_walk(lifted, target, [1] * (max(target, default=0) + 1), 2, 1))
+
+
+def representation_coefficients(lifted, target, p):
+    """{e: (p-1)! / (e_0! ... e_{N-1}!) mod p} over the e of
+    enumerate_representations(lifted, target), in the same lex order, for a
+    target whose last coordinate is p - 1 (so every e sums to p - 1).
+
+    The walk carries the coefficient of each prefix e_0..e_{k-1} of its
+    path, so every edge costs one multiplication by 1/e_k! and paths that
+    share a prefix share its product.
+    """
+    target = tuple(target)
+    if not target or target[-1] != p - 1:
+        raise ValueError(f"target {target} does not end in p - 1 = {p - 1}")
+    return _walk(
+        lifted, target, inverse_factorial_table(p), p, factorial_table(p)[p - 1]
+    )
+
+
+def _walk(lifted, target, weight, modulus, root):
+    """{e: root * weight[e_0] * ... * weight[e_{N-1}] % modulus} over all e
+    in N^N with sum_k e_k * lifted[k] = target, lex-ascending in e.
 
     Every lifted vector is nonnegative with last coordinate 1, so the last
-    target coordinate bounds the total of the e_k.  The residual
-    target - sum_{j<k} e_j * lifted[j] is packed into one int, one field per
-    coordinate with a guard bit on top, so subtracting a column is one int
-    subtraction and a negative coordinate shows as a cleared guard bit.  A
-    forward pass collects the residuals reachable after each prefix of
-    columns and a backward pass keeps those from which 0 is reachable; the
-    depth-first search then only expands nodes that lead to a result.
+    target coordinate bounds the total of the e_k, and weight needs an entry
+    for each value up to it; weight[0] must be 1.  The depth-first search
+    expands only the live edges of _live_edges, so it never dead-ends; it
+    keeps the product for each prefix of its path on a stack next to the
+    prefix itself.
     """
     lifted = [tuple(v) for v in lifted]
     target = tuple(target)
@@ -124,9 +148,53 @@ def enumerate_representations(lifted, target):
         if len(v) != len(target) or v[-1] != 1 or min(v) < 0:
             raise ValueError(f"{v} is not a lifted exponent vector for {target}")
     if min(target, default=0) < 0:
-        return []
+        return {}
     if not any(target):
-        return [(0,) * N]  # every column is nonzero
+        return {(0,) * N: root}  # every column is nonzero
+    walk = _live_edges(lifted, target)
+    if walk is None:
+        return {}
+    live, start, zero = walk
+    # from the zero residual only e = 0 remains, of weight 1, so a result is
+    # complete as soon as its residual reaches 0
+    out = {}
+    acc = [0] * N
+    prod = [root] * N  # prod[k]: root times the weights of e_0..e_{k-1}
+    stack = [iter(live[0][start])]
+    k = 0
+    while True:
+        for e, s in stack[k]:
+            acc[k] = e
+            c = prod[k] * weight[e] % modulus
+            if s == zero:
+                out[tuple(acc)] = c
+            else:
+                k += 1
+                prod[k] = c
+                stack.append(iter(live[k][s]))
+                break
+        else:
+            acc[k] = 0
+            stack.pop()
+            if not k:
+                return out
+            k -= 1
+
+
+def _live_edges(lifted, target):
+    """(live, start, zero) for the walk to ``target``, which is nonnegative
+    and nonzero, or None when no e reaches it.
+
+    The residual target - sum_{j<k} e_j * lifted[j] is packed into one int,
+    one field per coordinate with a guard bit on top, so subtracting a
+    column is one int subtraction and a negative coordinate shows as a
+    cleared guard bit; start and zero are the packed target and the packed
+    zero residual.  A forward pass collects the residuals reachable after
+    each prefix of columns and a backward pass keeps those from which 0 is
+    reachable: live[k] maps each such residual at level k to its edges
+    [(e_k, next residual)].
+    """
+    N = len(lifted)
     # a field holds any target or column entry, with the guard bit above it;
     # a coordinate driven negative by one column clears its guard bit and
     # borrows nothing from the next field
@@ -144,8 +212,6 @@ def enumerate_representations(lifted, target):
                 nxt.add(r)
                 r -= col
         reach.append(nxt)
-    # live[k]: residual -> [(e_k, next residual)], only for residuals at
-    # level k from which 0 is reachable through columns k..N-1
     live = [None] * N
     alive = {zero} & reach[N]
     for k in reversed(range(N)):
@@ -163,29 +229,7 @@ def enumerate_representations(lifted, target):
                 level[r] = edges
         live[k] = level
         alive = level.keys()
-    if start not in alive:
-        return []
-    # from the zero residual only e = 0 remains, so a result is complete
-    # as soon as its residual reaches 0
-    out = []
-    acc = [0] * N
-    stack = [iter(live[0][start])]
-    k = 0
-    while True:
-        for e, s in stack[k]:
-            acc[k] = e
-            if s == zero:
-                out.append(tuple(acc))
-            else:
-                k += 1
-                stack.append(iter(live[k][s]))
-                break
-        else:
-            acc[k] = 0
-            stack.pop()
-            if not k:
-                return out
-            k -= 1
+    return (live, start, zero) if start in alive else None
 
 
 def _pack(vec, shift):

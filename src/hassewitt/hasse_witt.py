@@ -6,7 +6,8 @@ sweeps along one coordinate, and an independent dense-expansion oracle.
 Entry (u, v) is the coefficient of x^{p*u - v} in f^{p-1}, where f is the
 family with one indeterminate coefficient per support monomial; it is
 computed by enumerating the constrained representations of the lifted target
-p*u+ - v+ rather than by expanding f^{p-1} symbolically.
+p*u+ - v+, each with its multinomial coefficient mod p, rather than by
+expanding f^{p-1} symbolically.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ from .algebra import (
     SparseLaurentPoly,
     det_leibniz,
     evaluate_laurent,
-    multinomial_mod_p,
     specialize,
 )
 from .geometry import (
     SupportSet,
-    enumerate_representations,
     in_Li,
+    representation_coefficients,
 )
 from .reports import VerificationReport
 
@@ -52,10 +52,9 @@ def symbolic_entry(support: SupportSet, u, v, p) -> SparseLaurentPoly:
     u = tuple(u)
     v = tuple(v)
     target = tuple(p * a - b for a, b in zip(u + (1,), v + (1,)))
-    acc = {}
-    for e in enumerate_representations(support.lifted, target):
-        acc[e] = multinomial_mod_p(e, p)
-    return SparseLaurentPoly(support.N, p, acc)
+    return SparseLaurentPoly(
+        support.N, p, representation_coefficients(support.lifted, target, p)
+    )
 
 
 @dataclass(frozen=True)

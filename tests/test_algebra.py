@@ -452,12 +452,14 @@ def school_mul(f, g, modulus, p):
     a = len(modulus) - 1
     prod = [0] * (2 * a - 1)
     for i, x in enumerate(f):
-        for j, y in enumerate(g):
-            prod[i + j] += x * y
+        if x:
+            for j, y in enumerate(g):
+                prod[i + j] += x * y
     for top in range(len(prod) - 1, a - 1, -1):
-        c = prod[top]
-        for i, m in enumerate(modulus):
-            prod[top - a + i] -= c * m
+        c = prod[top] % p
+        if c:
+            for i, m in enumerate(modulus):
+                prod[top - a + i] -= c * m
     return tuple(x % p for x in prod[:a])
 
 
@@ -544,3 +546,28 @@ def test_field_bound_is_inclusive(monkeypatch):
     assert ExtensionField(3, 2).q == 9
     with pytest.raises(ValueError, match="FIELD_BOUND = 9"):
         ExtensionField(2, 4)
+
+
+def reference_log_tables(p, a):
+    """The log tables by the generator walk over lex-ordered candidates,
+    stepping each power with school_mul; shares no code with _log_tables."""
+    modulus = algebra.find_irreducible(p, a)
+    one = (1,) + (0,) * (a - 1)
+    for g in itertools.product(range(p), repeat=a):
+        if not any(g):
+            continue
+        powers, x = [one], g
+        while x != one:
+            powers.append(x)
+            x = school_mul(x, g, modulus, p)
+        if len(powers) == p**a - 1:
+            break
+    coeffs = tuple(powers) + ((0,) * a,)
+    log = {c: k for k, c in enumerate(coeffs)}
+    zech = tuple(log[((c[0] + 1) % p,) + c[1:]] for c in powers)
+    return coeffs, log, zech
+
+
+@pytest.mark.parametrize("p,a", [(2, 16), (3, 8), (5, 3), (7, 2)])
+def test_log_tables_match_reference_walk(p, a):
+    assert algebra._log_tables(p, a) == reference_log_tables(p, a)

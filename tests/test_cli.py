@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hassewitt
+from hassewitt import cli
 from hassewitt.cli import PRESETS, main
 
 from conftest import strip_seconds, support_from_preset
@@ -202,6 +208,96 @@ def test_out_file(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(target.read_text()) == json.loads(out)
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize(
+    "argv,lam",
+    [(["hw-symbolic"], False), (["verify", "--suite", "3.8"], False),
+     (["hw-eval"], True), (["hw-eval", "--sweep", "k=4"], True)],
+    ids=["hw-symbolic", "verify-3.8", "hw-eval", "hw-eval-sweep"],
+)
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, argv, lam):
+    target = tmp_path / "report"
+    path = write_config(tmp_path, **({"lambda": [1, 1, 1, 0]} if lam else {}))
+    code, out, _ = run_cli(capsys, *argv, "--config", path, "--out", str(target))
+    assert code == 0
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_exit_2_before_computing(tmp_path, capsys, monkeypatch, where):
+    def computed(*args):
+        raise AssertionError("the matrix was computed before --out was checked")
+
+    monkeypatch.setattr(cli, "symbolic_matrix", computed)
+    target = tmp_path / "missing" / "report.json" if where == "missing-directory" else tmp_path
+    code, out, err = run_cli(
+        capsys, "hw-symbolic", "--preset", "hesse-cubic", "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: cannot write --out {target}: ")
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_out_check_leaves_the_file_as_it_was(tmp_path, capsys, existing):
+    target = tmp_path / "ranks.csv"
+    if existing:
+        target.write_text("kept\n")
+    path = write_config(tmp_path, **{"lambda": [1, 1, 1, 0]})
+    code, _, err = run_cli(
+        capsys, "hw-eval", "--config", path, "--sweep", "k=9", "--out", str(target)
+    )
+    assert code == 2
+    assert "sweep index out of range" in err
+    if existing:
+        assert target.read_text() == "kept\n"
+    else:
+        assert not target.exists()
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exit_141_and_devnull(capsys, monkeypatch):
+    read_end, write_end = os.pipe()
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(write_end))
+        code = main(["hw-symbolic", "--preset", "hesse-cubic", "--p", "5"])
+        assert code == 141
+        assert capsys.readouterr().err == ""
+        # the descriptor now writes to os.devnull, so a flush at exit succeeds
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+
+
+def test_closed_stdout_process_exit_141_without_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(hassewitt.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hassewitt.cli", "hw-symbolic",
+             "--preset", "hesse-cubic", "--p", "5"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_extension_field_lambda(tmp_path, capsys):

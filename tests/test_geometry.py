@@ -4,7 +4,10 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from hassewitt.algebra import multinomial_mod_p
 from hassewitt.geometry import (
     SupportSet,
     convex_combination_certificate,
@@ -16,7 +19,10 @@ from hassewitt.geometry import (
     is_relation,
     kernel_basis,
     lift,
+    representation_coefficients,
 )
+
+from conftest import support_from_preset
 
 HESSE_RAW = [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)]
 FERMAT_RAW = [(3, 0, 0), (0, 3, 0), (0, 0, 3)]
@@ -159,6 +165,31 @@ def test_representations_reject_unlifted_vectors():
         enumerate_representations([(3, -1, 1, 1)], (3, 0, 0, 1))
     with pytest.raises(ValueError):
         enumerate_representations(lift(HESSE_RAW), (3, 0, 1))  # wrong length
+
+
+# derandomize: the same (u, v) pairs on every run, so a failure reproduces
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("preset", ["fermat-cubic", "hesse-cubic", "quartic-full", "quintic-full"])
+@settings(max_examples=3, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_walk_coefficients_are_the_multinomials(preset, p, data):
+    s = support_from_preset(preset)
+    u, v = data.draw(st.tuples(*[st.sampled_from(s.interior_set())] * 2))
+    target = tuple(p * a - b for a, b in zip(u + (1,), v + (1,)))
+    coefficients = representation_coefficients(s.lifted, target, p)
+    assert list(coefficients) == enumerate_representations(s.lifted, target)
+    assert coefficients == {e: multinomial_mod_p(e, p) for e in coefficients}
+
+
+def test_walk_coefficients_need_a_target_ending_in_p_minus_1():
+    lifted = lift(HESSE_RAW)
+    assert representation_coefficients(lifted, (4, 4, 4, 4), 5) == {
+        (0, 0, 0, 4): 1, (1, 1, 1, 1): 4,  # 4!/4! = 1 and 4!/(1!)^4 = 24 = 4 mod 5
+    }
+    for target in [(4, 4, 4, 3), (4, 4, 4, 5), ()]:
+        with pytest.raises(ValueError, match="p - 1"):
+            representation_coefficients(lifted, target, 5)
 
 
 def test_representations_leave_no_reference_cycles(quartic):

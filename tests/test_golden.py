@@ -54,6 +54,22 @@ def test_golden_output(capsys, command, preset, p):
     assert canonical_digest(capsys, argv) == GOLDEN[(command, preset, p)]
 
 
+# GOLDEN re-serialises the JSON, so it cannot see a change in the bytes the
+# CLI writes; these pin the raw stdout: argv -> sha256 of stdout
+RAW_GOLDEN = {
+    # the benchmark's symbolic-quartic-p11 output
+    ("hw-symbolic", "--preset", "quartic-full", "--p", "11"):
+        "63b6be034d6895d3e09743ba109c1217ccc1c19e9e07e5cc4efdc3f38764bb82",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(RAW_GOLDEN))
+def test_golden_raw_stdout(capsys, argv):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == RAW_GOLDEN[argv]
+
+
 # hw-eval cases, pinned as the sha256 of the raw stdout (the sweep prints CSV,
 # and the single-point report has no timing field): name -> (preset, p, a,
 # lambda in input order, extra CLI args, exit code, sha256 of stdout).
