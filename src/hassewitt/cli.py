@@ -16,7 +16,9 @@ import argparse
 import itertools
 import json
 import os
+import shutil
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .algebra import DET_BOUND, ExtensionField, is_prime
 from .geometry import SupportSet
@@ -25,6 +27,7 @@ from .hasse_witt import (
     evaluate_matrix,
     generic_det_check,
     sweep_ranks,
+    symbolic_entry,
     symbolic_matrix,
 )
 from .hypergeometric import (
@@ -180,13 +183,18 @@ def _dump_lines(lines, fh):
 
 
 def _emit(payload, out_path=None, dump=_dump_json):
-    """Stream ``payload`` to stdout and, with --out, to that file first:
-    canonical JSON, or with ``dump=_dump_lines`` one line per string.  No
-    string of the whole output is built."""
+    """Write ``payload`` once with ``dump``: canonical JSON, with
+    ``dump=_dump_lines`` one line per string, with ``_dump_hw_symbolic``
+    the matrix computed as it is written.  With --out it goes to that
+    file, which is then copied to stdout, so the file is complete even when
+    stdout's reader has gone.  No string of the whole output is built."""
     if out_path:
         with open(out_path, "w") as fh:
             dump(payload, fh)
-    dump(payload, sys.stdout)
+        with open(out_path, newline="") as fh:
+            shutil.copyfileobj(fh, sys.stdout)
+    else:
+        dump(payload, sys.stdout)
 
 
 def _check_out(path):
@@ -202,17 +210,31 @@ def _check_out(path):
         os.remove(path)
 
 
-def _matrix_json(A):
-    return {
-        "p": A.p,
-        "labels": ["".join(str(x) for x in u) for u in A.labels],
-        "matrix": [[poly.canonical_str() for poly in row] for row in A.entries],
-    }
+def _dump_hw_symbolic(request, fh):
+    """The hw-symbolic report of ``request = (support, p)`` in the layout of
+    ``_dump_json``, computed as it is written: each entry is rendered and
+    written before the next is computed, so at most one entry is alive.
+    The layout assumes at least one label: SupportSet.build refuses an
+    empty interior set."""
+    support, p = request
+    labels = support.interior_set()
+    names = ",\n    ".join(
+        encode_basestring_ascii("".join(map(str, u))) for u in labels
+    )
+    before = '{\n  "labels": [\n    %s\n  ],\n  "matrix": [\n    [\n      ' % names
+    for u in labels:
+        for v in labels:
+            text = encode_basestring_ascii(symbolic_entry(support, u, v, p).canonical_str())
+            fh.write(before)
+            fh.write(text)
+            del text
+            before = ",\n      "
+        before = "\n    ],\n    [\n      "
+    fh.write('\n    ]\n  ],\n  "p": %d\n}\n' % p)
 
 
 def cmd_hw_symbolic(args, cfg, support):
-    A = symbolic_matrix(support, cfg["p"])
-    _emit(_matrix_json(A), args.out)
+    _emit((support, cfg["p"]), args.out, _dump_hw_symbolic)
     return 0
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,10 +10,11 @@ from pathlib import Path
 import pytest
 
 import hassewitt
-from hassewitt import cli
+from hassewitt import cli, geometry
 from hassewitt.cli import PRESETS, main
 
 from conftest import strip_seconds, support_from_preset
+from test_golden import RAW_GOLDEN
 
 
 def run_cli(capsys, *argv):
@@ -231,6 +234,7 @@ def test_unwritable_out_exit_2_before_computing(tmp_path, capsys, monkeypatch, w
         raise AssertionError("the matrix was computed before --out was checked")
 
     monkeypatch.setattr(cli, "symbolic_matrix", computed)
+    monkeypatch.setattr(cli, "symbolic_entry", computed)
     target = tmp_path / "missing" / "report.json" if where == "missing-directory" else tmp_path
     code, out, err = run_cli(
         capsys, "hw-symbolic", "--preset", "hesse-cubic", "--out", str(target)
@@ -282,6 +286,92 @@ def test_closed_stdout_exit_141_and_devnull(capsys, monkeypatch):
     finally:
         os.close(read_end)
         os.close(write_end)
+
+
+def test_hw_symbolic_writes_each_entry_before_computing_the_next(monkeypatch):
+    stdout = io.StringIO()
+    written = []  # length of stdout at each symbolic_entry call
+    entry = cli.symbolic_entry
+
+    def recorded(*args):
+        written.append(len(stdout.getvalue()))
+        return entry(*args)
+
+    monkeypatch.setattr(cli, "symbolic_entry", recorded)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["hw-symbolic", "--preset", "quartic-full", "--p", "5"]) == 0
+    assert len(written) == 9
+    assert all(a < b for a, b in zip(written, written[1:]))
+    assert written[-1] < len(stdout.getvalue())
+
+
+def test_hw_symbolic_closed_stdout_stops_after_one_entry(capsys, monkeypatch):
+    calls = []
+    entry = cli.symbolic_entry
+
+    def counted(*args):
+        calls.append(args)
+        return entry(*args)
+
+    read_end, write_end = os.pipe()
+    try:
+        monkeypatch.setattr(cli, "symbolic_entry", counted)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(write_end))
+        code = main(["hw-symbolic", "--preset", "quartic-full", "--p", "5"])
+        assert code == 141
+        assert len(calls) == 1
+        assert capsys.readouterr().err == ""
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+
+
+def test_out_file_is_complete_when_stdout_is_closed(tmp_path, capsys, monkeypatch):
+    argv = ("hw-symbolic", "--preset", "quintic-full", "--p", "3")
+    target = tmp_path / "report.json"
+    read_end, write_end = os.pipe()
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(write_end))
+        assert main(list(argv) + ["--out", str(target)]) == 141
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == RAW_GOLDEN[argv]
+
+
+def test_hw_symbolic_computes_first_through_a_hasse_witt_name_in_cli(capsys, monkeypatch):
+    """The benchmark's set-up probe stops the CLI at its first call into
+    hasse_witt by replacing those names in cli's namespace; a call into
+    geometry that comes before it would escape the probe."""
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    walks = []
+    walk = geometry.representation_coefficients
+
+    def recorded(*args, **kwargs):
+        walks.append(args)
+        return walk(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hassewitt":
+            for attr, obj in list(vars(module).items()):
+                if obj is walk:
+                    monkeypatch.setattr(module, attr, recorded)
+    for name, obj in list(vars(cli).items()):
+        if (
+            callable(obj)
+            and not isinstance(obj, type)
+            and getattr(obj, "__module__", None) == "hassewitt.hasse_witt"
+        ):
+            monkeypatch.setattr(cli, name, reached)
+    with pytest.raises(Reached):
+        main(["hw-symbolic", "--preset", "quartic-full", "--p", "5"])
+    assert walks == []
 
 
 def test_closed_stdout_process_exit_141_without_traceback():

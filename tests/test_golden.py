@@ -60,6 +60,15 @@ RAW_GOLDEN = {
     # the benchmark's symbolic-quartic-p11 output
     ("hw-symbolic", "--preset", "quartic-full", "--p", "11"):
         "63b6be034d6895d3e09743ba109c1217ccc1c19e9e07e5cc4efdc3f38764bb82",
+    # a 1x1 matrix
+    ("hw-symbolic", "--preset", "hesse-cubic", "--p", "5"):
+        "c50f01156519ce6625c3e4fae7bf9f1a656e144e36fe97408f48d024dc0dbdff",
+    # a "0" entry
+    ("hw-symbolic", "--preset", "fermat-cubic", "--p", "3"):
+        "c63bacdee5d5e35766aded31626c77359f3098f0bf1582a4fece748f5687b71b",
+    # 6x6
+    ("hw-symbolic", "--preset", "quintic-full", "--p", "3"):
+        "8e4832b181d8ff8177ffdbc200ec13dcbc437a5e7ff8c15acc242710b4cd946a",
 }
 
 
