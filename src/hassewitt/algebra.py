@@ -71,6 +71,7 @@ def multinomial_mod_p(e, p) -> int:
 class SparseLaurentPoly:
     """Finitely supported map from integer exponent vectors to coefficients.
 
+    The constructor, from a term dict, is the one way to build one.
     Immutable by convention: no method mutates ``self``; all operations
     return fresh polynomials.
     """
@@ -93,21 +94,6 @@ class SparseLaurentPoly:
                 clean[exp] = c
         self.terms = clean
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, nvars, modulus=None):
-        return cls(nvars, modulus, {})
-
-    @classmethod
-    def constant(cls, nvars, c, modulus=None):
-        return cls(nvars, modulus, {(0,) * nvars: c})
-
-    @classmethod
-    def monomial(cls, exponent, c=1, modulus=None):
-        exponent = tuple(exponent)
-        return cls(len(exponent), modulus, {exponent: c})
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -120,9 +106,6 @@ class SparseLaurentPoly:
 
     def sorted_terms(self):
         return sorted(self.terms.items())
-
-    def support(self):
-        return set(self.terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -146,12 +129,7 @@ class SparseLaurentPoly:
             self.nvars, self.modulus, {e: -c for e, c in self.terms.items()}
         )
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
         if not isinstance(other, SparseLaurentPoly):
             return NotImplemented
         self._check_compat(other)
@@ -163,11 +141,6 @@ class SparseLaurentPoly:
         return SparseLaurentPoly(self.nvars, self.modulus, out)
 
     __rmul__ = __mul__
-
-    def scale(self, c: int):
-        return SparseLaurentPoly(
-            self.nvars, self.modulus, {e: c * v for e, v in self.terms.items()}
-        )
 
     def shift(self, delta):
         """Multiply by the monomial with exponent vector ``delta``."""

@@ -149,8 +149,9 @@ def _walk(lifted, target, weight, modulus, root):
             raise ValueError(f"{v} is not a lifted exponent vector for {target}")
     if min(target, default=0) < 0:
         return {}
-    if not any(target):
-        return {(0,) * N: root}  # every column is nonzero
+    if not N:
+        # no column to walk: the empty e reaches only the zero target
+        return {} if any(target) else {(): root}
     walk = _live_edges(lifted, target)
     if walk is None:
         return {}
@@ -182,8 +183,8 @@ def _walk(lifted, target, weight, modulus, root):
 
 
 def _live_edges(lifted, target):
-    """(live, start, zero) for the walk to ``target``, which is nonnegative
-    and nonzero, or None when no e reaches it.
+    """(live, start, zero) for the walk to the nonnegative ``target``, or
+    None when no e reaches it.
 
     The residual target - sum_{j<k} e_j * lifted[j] is packed into one int,
     one field per coordinate with a guard bit on top, so subtracting a

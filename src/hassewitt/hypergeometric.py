@@ -196,17 +196,22 @@ def verify_hypergeometric_solution(
     relations,
     lifted,
     mode="mod-p",
+    *,
+    floor=None,
 ) -> VerificationReport:
     """Check that f is annihilated by all homogeneity operators with the
     given parameter and by the box operator of every supplied relation.
 
     mode "mod-p": f carries a prime modulus and every box result must vanish
     identically.  mode "exact-integer": f has integer coefficients and is a
-    depth-limited truncation of an infinite series; a box residual term at
-    exponent m only counts as a failure when both source exponents m+l_plus
-    and m+l_minus are exponents of f, since residuals sourced beyond the
-    enumeration depth are truncation artifacts.  Integer mode also records
-    that all coefficients are exact integers.
+    truncation of an infinite series, and ``floor=(i, lo)`` (required in
+    this mode only) says that f holds every term of the series whose i-th
+    exponent is >= lo; for the derivative series of G_i at depth D,
+    lo = -(D + [i = j]).  A box residual term at exponent m is a failure iff
+    m_i >= lo: one of l_plus_i, l_minus_i is 0, so both source exponents
+    m+l_plus and m+l_minus have i-th coordinate >= m_i and lie where f equals
+    the series.  Residuals below the floor are truncation artifacts.  Integer
+    mode also records that all coefficients are exact integers.
 
     Every relation is validated, once per (lifted, relations) pair, applied
     and counted.
@@ -218,8 +223,9 @@ def verify_hypergeometric_solution(
         raise ValueError("mod-p mode needs a polynomial with a prime modulus")
     if mode == "exact-integer" and f.modulus is not None:
         raise ValueError("exact-integer mode needs integer coefficients")
+    if (mode == "exact-integer") != (floor is not None):
+        raise ValueError("exact-integer mode, and only it, takes a floor")
     _check_relations(tuple(map(tuple, lifted)), tuple(map(tuple, relations)))
-    support = f.support()
 
     euler_bad = [coord for coord, _ in euler_residuals(lifted, beta, f)]
     box_bad = []
@@ -230,11 +236,9 @@ def verify_hypergeometric_solution(
         if mode == "mod-p":
             box_bad.append(tuple(l))
             continue
-        lp, lm = relation_parts(l)
+        i, lo = floor
         for mexp in res.terms:
-            src_plus = tuple(a + b for a, b in zip(mexp, lp))
-            src_minus = tuple(a + b for a, b in zip(mexp, lm))
-            if src_plus in support and src_minus in support:
+            if mexp[i] >= lo:
                 box_bad.append((tuple(l), mexp))
                 break
     passed = not euler_bad and not box_bad

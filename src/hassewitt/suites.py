@@ -165,7 +165,8 @@ def suite_2_11(support: SupportSet, p, **_):
 def suite_3_4(support: SupportSet, p, depth=None, **_):
     """Depth-p derivative series: integer coefficients, exact annihilation
     by the homogeneity operators with the negated lifted column as
-    parameter, and box checks under the truncation-boundary rule.
+    parameter, and box checks at every exponent on or above the
+    truncation floor (see verify_hypergeometric_solution).
     """
     _require_interior_monomial(support, "prop-3.4")
     start = time.monotonic()
@@ -185,6 +186,7 @@ def suite_3_4(support: SupportSet, p, depth=None, **_):
                 relations,
                 lifted,
                 mode="exact-integer",
+                floor=(i, -(depth + (i == j))),
             )
             if not rep.passed:
                 failures.append({"i": i + 1, "j": j + 1, "detail": rep.witnesses})

@@ -18,13 +18,27 @@ def strip_seconds(obj):
     return obj
 
 
+def mono(exp, c=1, p=None):
+    """c * L^exp, with coefficients mod p, or integers when p is None."""
+    exp = tuple(exp)
+    return SparseLaurentPoly(len(exp), p, {exp: c})
+
+
+def const(nvars, c=1, p=None):
+    return mono((0,) * nvars, c, p)
+
+
+def zero(nvars, p=None):
+    return SparseLaurentPoly(nvars, p, {})
+
+
 def det_cofactor(mat):
     # independent oracle: expansion along the first row
     m = len(mat)
     if m == 1:
         return mat[0][0]
     proto = mat[0][0]
-    acc = SparseLaurentPoly.zero(proto.nvars, proto.modulus)
+    acc = zero(proto.nvars, proto.modulus)
     for j in range(m):
         minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
         term = mat[0][j] * det_cofactor(minor)

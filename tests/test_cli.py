@@ -390,6 +390,24 @@ def test_closed_stdout_process_exit_141_without_traceback():
     assert proc.stderr == b""
 
 
+def test_bench_tracer_installs_and_counts_relations(tmp_path):
+    """The benchmark's tracer patches SparseLaurentPoly methods and binds
+    verify_hypergeometric_solution's parameters by name; a rename or a
+    deletion there makes every traced run fail."""
+    src = Path(hassewitt.__file__).parents[1]
+    out = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, str(src.parent / "bench" / "child.py"), "trace", str(out),
+         "--", "verify", "--preset", "hesse-cubic", "--p", "5"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    trace = json.loads(out.read_text())
+    assert "algebra.canonical_str" in trace["spans"]
+    assert trace["counts"]["suites.box_relations.used"] > 0
+
+
 def test_extension_field_lambda(tmp_path, capsys):
     path = write_config(
         tmp_path, a=2, **{"lambda": ["1,1", "1,0", "0,1", "1,0"]}

@@ -20,7 +20,7 @@ from hassewitt.hasse_witt import (
     sweep_ranks,
 )
 
-from conftest import det_cofactor, support_from_preset
+from conftest import const, det_cofactor, mono, support_from_preset
 from test_golden import GOLDEN
 
 U111 = (1, 1, 1)
@@ -85,9 +85,9 @@ def test_scaled_single_term_diagonal():
     s = SupportSet.build(1, 2, [(1, 1)])
     p = 3
     A = symbolic_matrix(s, p)
-    assert A.entries[0][0] == SparseLaurentPoly.monomial((p - 1,), 1, p)
+    assert A.entries[0][0] == mono((p - 1,), 1, p)
     B = scaled_matrix(A)
-    assert B.entries[0][0] == SparseLaurentPoly.constant(1, 1, p)
+    assert B.entries[0][0] == const(1, 1, p)
 
 
 def test_scaled_matrix_requires_interior(fermat):
@@ -196,7 +196,7 @@ def test_one_det_leibniz_per_generic_det(capsys, monkeypatch, argv):
 def test_generic_det_reports_a_mutant_entry(capsys, monkeypatch, preset, p):
     support = support_from_preset(preset)
     A = symbolic_matrix(support, p)
-    bump = SparseLaurentPoly.monomial((p - 1,) + (0,) * (support.N - 1), 1, p)
+    bump = mono((p - 1,) + (0,) * (support.N - 1), 1, p)
     rows = [list(row) for row in A.entries]
     rows[0][0] = rows[0][0] + bump
     mutant = dataclasses.replace(A, entries=tuple(tuple(r) for r in rows))

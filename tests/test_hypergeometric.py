@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from hassewitt.hypergeometric import (
     verify_truncation_identity,
 )
 
-from conftest import monomial_derivative, support_from_preset
+from conftest import const, mono, monomial_derivative, support_from_preset
 
 P = SparseLaurentPoly
 
@@ -35,27 +36,28 @@ def hesse_beta(hesse, j=0):
 
 
 def test_box_kills_constants():
-    f = P.constant(4, 7)
+    f = const(4, 7)
     assert box_apply(HESSE_REL, f).is_zero
 
 
 def test_box_on_inverse_monomial():
     # Box = d2 d3 d4 - d1^3 applied to L1^-1: the falling factorial
     # (-1)(-2)(-3) = -6 and the operator's minus sign give +6 L1^-4
-    f = P.monomial((-1, 0, 0, 0))
+    f = mono((-1, 0, 0, 0))
     got = box_apply(HESSE_REL, f)
-    assert got == P.monomial((-4, 0, 0, 0), 6)
+    assert got == mono((-4, 0, 0, 0), 6)
 
 
 def test_box_depth_one_solution():
     # the visible cancellation: d2 d3 d4 of the second term matches d1^3 of
     # the first; the only residual is the boundary term at (-7,1,1,1),
     # cancelled by the next (depth-excluded) series term
-    f = P.monomial((-1, 0, 0, 0)) + P.monomial((-4, 1, 1, 1), -6)
+    f = mono((-1, 0, 0, 0)) + mono((-4, 1, 1, 1), -6)
     got = box_apply(HESSE_REL, f)
-    assert got == P.monomial((-7, 1, 1, 1), -720)
+    assert got == mono((-7, 1, 1, 1), -720)
     rep = verify_hypergeometric_solution(
-        f, (-1, -1, -1, -1), [HESSE_REL], _hesse_lifted(), mode="exact-integer"
+        f, (-1, -1, -1, -1), [HESSE_REL], _hesse_lifted(), mode="exact-integer",
+        floor=(0, -4),  # depth 3, i = j: every term with s_1 >= -4 is present
     )
     assert rep.passed
 
@@ -95,7 +97,7 @@ def test_box_apply_is_difference_of_derivatives():
         })
         l = tuple(rng.randint(-4, 4) for _ in range(4))
         lp, lm = relation_parts(l)
-        assert box_apply(l, f) == monomial_derivative(f, lp) - monomial_derivative(f, lm)
+        assert box_apply(l, f) == monomial_derivative(f, lp) + -monomial_derivative(f, lm)
 
 
 # -- Euler operators -----------------------------------------------------------
@@ -103,16 +105,16 @@ def test_box_apply_is_difference_of_derivatives():
 
 def test_euler_annihilates_matching_monomial(hesse):
     # a monomial whose lifted degree equals beta is killed by every coordinate
-    f = P.monomial((-1, 0, 0, 0))
+    f = mono((-1, 0, 0, 0))
     beta = hesse_beta(hesse)  # -a_1+ = (-1,-1,-1,-1)
     for coord in range(4):
         assert euler_apply(hesse.lifted, coord, beta, f).is_zero
 
 
 def test_euler_nonmatching_monomial(hesse):
-    f = P.monomial((1, 0, 0, 0))  # lifted degree a_1+ = (1,1,1,1)
+    f = mono((1, 0, 0, 0))  # lifted degree a_1+ = (1,1,1,1)
     got = euler_apply(hesse.lifted, 0, (0, 0, 0, 0), f)
-    assert got == P.monomial((1, 0, 0, 0), 1)
+    assert got == mono((1, 0, 0, 0), 1)
 
 
 def test_euler_iff_lifted_degree(hesse):
@@ -125,7 +127,7 @@ def test_euler_iff_lifted_degree(hesse):
         )
         beta = tuple(rng.randint(-3, 3) for _ in range(4))
         killed = all(
-            euler_apply(lifted, c, beta, P.monomial(exp)).is_zero
+            euler_apply(lifted, c, beta, mono(exp)).is_zero
             for c in range(4)
         )
         assert killed == (degree == beta)
@@ -208,7 +210,7 @@ def test_derivative_series_matches_monomial_derivative(preset, depth):
             unit = tuple(int(k == j) for k in range(N))
             expected = monomial_derivative(gi.poly, unit)
             if j == i:
-                expected = expected + P.monomial(tuple(-x for x in unit))
+                expected = expected + mono(tuple(-x for x in unit))
             got = derivative_series(gi, j)
             assert got.poly == expected
             assert all(isinstance(c, int) for c in got.poly.terms.values())
@@ -303,7 +305,7 @@ def test_verify_detects_corruption(hesse):
     p = 5
     ds = derivative_series(series_Gi(hesse, 0, p), 0).poly.reduce_mod(p)
     f = trunc(rho_window(4, 0), ds, p)
-    corrupted = f + P.monomial((-1, 0, 0, 0), 1, p)
+    corrupted = f + mono((-1, 0, 0, 0), 1, p)
     rep = verify_hypergeometric_solution(
         corrupted, hesse_beta(hesse), [HESSE_REL], hesse.lifted, mode="mod-p"
     )
@@ -313,20 +315,58 @@ def test_verify_detects_corruption(hesse):
 def test_verify_exact_integer_mode(hesse):
     ds = derivative_series(series_Gi(hesse, 0, 5), 0)
     rep = verify_hypergeometric_solution(
-        ds.poly, hesse_beta(hesse), [HESSE_REL], hesse.lifted, mode="exact-integer"
+        ds.poly, hesse_beta(hesse), [HESSE_REL], hesse.lifted, mode="exact-integer",
+        floor=(0, -6),
     )
     assert rep.passed
     assert rep.witnesses["integer_coefficients"]
 
 
+def test_verify_floor_is_exact_integer_only(hesse):
+    args = ((0, 0, 0, 0), [HESSE_REL], hesse.lifted)
+    with pytest.raises(ValueError, match="floor"):
+        verify_hypergeometric_solution(const(4, 1), *args, mode="exact-integer")
+    with pytest.raises(ValueError, match="floor"):
+        verify_hypergeometric_solution(const(4, 1, 5), *args, mode="mod-p", floor=(0, 0))
+
+
+def test_suite_3_4_fails_on_every_dropped_series_term(quartic, monkeypatch):
+    # at p = 3 the nine derivative series of quartic-full hold 66 terms; a
+    # series missing any one of them leaves a box residual inside its floor
+    p = 3
+    assert suites.suite_3_4(quartic, p).passed
+    real = suites.derivative_series
+    drops = [
+        (i, j, exp)
+        for i in range(quartic.m)
+        for j in range(quartic.m)
+        for exp in real(series_Gi(quartic, i, p), j).poly.terms
+    ]
+    assert len(drops) == 66
+    for i, j, exp in drops:
+
+        def dropping(gi, k):
+            series = real(gi, k)
+            if (gi.i, k) != (i, j):
+                return series
+            terms = {e: c for e, c in series.poly.terms.items() if e != exp}
+            return dataclasses.replace(series, poly=P(quartic.N, None, terms))
+
+        monkeypatch.setattr(suites, "derivative_series", dropping)
+        failures = suites.suite_3_4(quartic, p).witnesses["failures"]
+        assert [(f["i"], f["j"]) for f in failures] == [(i + 1, j + 1)], exp
+        assert failures[0]["detail"]["box_failures"], exp
+
+
 def test_verify_rejects_non_relation(hesse):
     # (5, -5, 0, 0) has both parts of order p = 5, so its box operator
     # vanishes mod p; the relation check must still reject it
-    for mode, f in (("mod-p", P.constant(4, 1, 5)), ("exact-integer", P.constant(4, 1))):
+    for mode, f in (("mod-p", const(4, 1, 5)), ("exact-integer", const(4, 1))):
         for l in ((1, 0, 0, 0), (5, -5, 0, 0)):
             with pytest.raises(ValueError, match="not a lattice relation"):
                 verify_hypergeometric_solution(
-                    f, (0, 0, 0, 0), [HESSE_REL, l], hesse.lifted, mode=mode
+                    f, (0, 0, 0, 0), [HESSE_REL, l], hesse.lifted, mode=mode,
+                    floor=(0, 0) if mode == "exact-integer" else None,
                 )
 
 
@@ -342,7 +382,7 @@ def test_verify_validates_each_relation_tuple_once(hesse, monkeypatch):
     geometry_is_relation = hypergeometric.is_relation
     monkeypatch.setattr(hypergeometric, "is_relation", counting)
     hypergeometric._check_relations.cache_clear()
-    f = P.constant(4, 1, 5)
+    f = const(4, 1, 5)
     good = (HESSE_REL, tuple(2 * x for x in HESSE_REL))
     for _ in range(3):
         rep = verify_hypergeometric_solution(f, (0, 0, 0, 0), good, hesse.lifted)
@@ -376,7 +416,7 @@ def test_truncation_identity_trivial_lattice():
     p = 5
     rep = verify_truncation_identity(s, 0, 0, p, rho_truncation(series_Gi(s, 0, p), 0, p))
     assert rep.passed
-    assert rep.witnesses["entry"] == P.monomial((p - 1,), 1, p).canonical_str()
+    assert rep.witnesses["entry"] == mono((p - 1,), 1, p).canonical_str()
 
 
 def test_truncation_identity_quartic_entries(quartic):
