@@ -185,27 +185,65 @@ class SparseLaurentPoly:
         """
         return evaluate_laurent(specialize(self, point, 0, field), point[0], field)
 
-    def canonical_str(self, shift=None) -> str:
-        """Canonical text form ``c*L1^e1*...*LN^eN + ...``, lex term order.
-
-        With ``shift``, the text of ``self.shift(shift)``, built without that
-        polynomial: adding one vector to every exponent keeps the lex order,
-        so each sorted term is printed with the shift added.
-        """
-        if shift is not None:
-            shift = tuple(shift)
-            if len(shift) != self.nvars:
-                raise ValueError("shift vector has wrong length")
+    def canonical_str(self) -> str:
+        """Canonical text form ``c*L1^e1*...*LN^eN + ...``, lex term order."""
         if self.is_zero:
             return "0"
         template = "*".join(["%s"] + [f"L{k + 1}^%d" for k in range(self.nvars)])
-        terms = self.sorted_terms()
-        if shift is not None:
-            terms = ((map(operator.add, exp, shift), c) for exp, c in terms)
-        return " + ".join(template % (c, *exp) for exp, c in terms)
+        return " + ".join(template % (c, *exp) for exp, c in self.sorted_terms())
 
     def __repr__(self):
         return f"<SparseLaurentPoly {self.canonical_str()} (mod {self.modulus})>"
+
+
+def canonical_pieces(poly, shifts):
+    """The texts ``poly.shift(s).canonical_str()`` for every s in ``shifts``,
+    from one walk over the sorted terms and with no shifted polynomial: an
+    iterator of tuples, one piece per shift, whose concatenations are the
+    texts.
+
+    A shift keeps the lex order of the terms, and it moves only the first h
+    coordinates, h one past the last coordinate that any shift moves.  The
+    terms that share those h coordinates, their head, are contiguous, and
+    each run of them makes one piece per shift: the head is formatted once
+    per run and shift, and the other coordinates once per term, for all the
+    shifts together.
+    """
+    shifts = [tuple(s) for s in shifts]
+    if any(len(s) != poly.nvars for s in shifts):
+        raise ValueError("shift vector has wrong length")
+    if poly.is_zero:
+        return iter([("0",) * len(shifts)])
+    h = max((k + 1 for s in shifts for k, x in enumerate(s) if x), default=0)
+    return _canonical_pieces(poly.sorted_terms(), shifts, h)
+
+
+def _canonical_pieces(terms, shifts, h):
+    # A term's text is its coefficient, its head's text, then its tail's
+    # (coordinates h on).  Between two heads' texts sit a tail, " + " and
+    # the next coefficient: the glue, the same for every shift, so that a
+    # run's piece is its glues joined by its head's text.
+    nvars = len(terms[0][0])
+    head_format = "".join(f"*L{k + 1}^%d" for k in range(h))
+    tail_format = "".join(f"*L{k + 1}^%d" for k in range(h, nvars))
+    glue_format = tail_format + " + %s"
+
+    def pieces(head, glues):
+        return tuple(
+            (head_format % tuple(map(operator.add, head, s))).join(glues)
+            for s in shifts
+        )
+
+    exp, c = terms[0]
+    head, glues = exp[:h], ["%s" % c]
+    for following, c in itertools.islice(terms, 1, None):
+        glues.append(glue_format % (exp[h:] + (c,)))
+        if following[:h] != head:
+            yield pieces(head, glues)
+            head, glues = following[:h], [""]
+        exp = following
+    glues.append(tail_format % exp[h:])
+    yield pieces(head, glues)
 
 
 def specialize(poly, point, k, field):
@@ -279,7 +317,22 @@ def det_leibniz(mat) -> SparseLaurentPoly:
         for entry in row:
             proto._check_compat(entry)
     packed, width, lo = _pack_entries(mat)
-    modulus = proto.modulus
+    det = _packed_det(packed, proto.modulus)
+    del packed
+    unpack = _unpacker(proto.nvars, width)
+    if any(lo):
+        offsets = [m * x for x in lo]
+        terms = {tuple(map(operator.add, unpack(k), offsets)): det[k] for k in sorted(det)}
+    else:
+        terms = {unpack(k): det[k] for k in sorted(det)}
+    del det  # the packed determinant goes before the polynomial is built
+    return SparseLaurentPoly(proto.nvars, proto.modulus, terms)
+
+
+def _packed_det(packed, modulus):
+    """The determinant of the packed entries, as {packed key: coefficient}
+    (see det_leibniz); the minors are gone when it returns."""
+    m = len(packed)
     # minors[S] for the column subsets S (bitmasks) of size m - r, rows r..m-1
     minors = {1 << j: entry for j, entry in enumerate(packed[m - 1]) if entry}
     for r in range(m - 2, -1, -1):
@@ -303,20 +356,13 @@ def det_leibniz(mat) -> SparseLaurentPoly:
                         k = ka + kb
                         acc[k] = get(k, 0) + ca * cb
             if modulus is not None:
-                acc = {k: c % modulus for k, c in acc.items() if c % modulus}
+                acc = {k: rest for k, c in acc.items() if (rest := c % modulus)}
             else:
                 acc = {k: c for k, c in acc.items() if c}
             if acc:
                 level[cols_mask] = acc
         minors = level
-    det = minors.get((1 << m) - 1, {})
-    offsets = [m * x for x in lo]
-    unpack = _unpacker(proto.nvars, width)
-    return SparseLaurentPoly(
-        proto.nvars,
-        modulus,
-        {tuple(map(operator.add, unpack(k), offsets)): det[k] for k in sorted(det)},
-    )
+    return minors.get((1 << m) - 1, {})
 
 
 def _pack_entries(mat):
@@ -362,9 +408,9 @@ def _unpacker(nvars, width):
         layout = struct.Struct(f">{nvars}{code}")
         return lambda key: layout.unpack(key.to_bytes(layout.size, "big"))
     mask = (1 << width) - 1
-    return lambda key: [
+    return lambda key: tuple(
         (key >> ((nvars - 1 - k) * width)) & mask for k in range(nvars)
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,12 @@ import shutil
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .algebra import DET_BOUND, ExtensionField, is_prime
+from .algebra import DET_BOUND, ExtensionField, canonical_pieces, is_prime
 from .geometry import SupportSet
 from .hasse_witt import (
     HypothesisViolation,
     evaluate_matrix,
-    generic_det_check,
+    generic_det,
     sweep_ranks,
     symbolic_entry,
     symbolic_matrix,
@@ -185,9 +185,11 @@ def _dump_lines(lines, fh):
 def _emit(payload, out_path=None, dump=_dump_json):
     """Write ``payload`` once with ``dump``: canonical JSON, with
     ``dump=_dump_lines`` one line per string, with ``_dump_hw_symbolic``
-    the matrix computed as it is written.  With --out it goes to that
-    file, which is then copied to stdout, so the file is complete even when
-    stdout's reader has gone.  No string of the whole output is built."""
+    the matrix computed as it is written, with ``_dump_generic_det`` the
+    determinant's texts rendered as they are written.  With --out it goes
+    to that file, which is then copied to stdout, so the file is complete
+    even when stdout's reader has gone.  No string of the whole output is
+    built."""
     if out_path:
         with open(out_path, "w") as fh:
             dump(payload, fh)
@@ -284,22 +286,33 @@ def _require_det_size(support):
         )
 
 
+def _dump_generic_det(request, fh):
+    """The generic-det report of ``request = (p, det_A, delta, ct, passed)``
+    (see hasse_witt.generic_det) in the layout of ``_dump_json``, rendered
+    as it is written.  One walk over det A's terms (canonical_pieces) makes
+    the pieces of both texts: det A's are escaped as ``json.dump`` does and
+    written at once, det B's are kept and written after them, one by one."""
+    p, det_A, delta, ct, passed = request
+    fh.write('{\n  "det_A": "')
+    pieces_B = []
+    for piece_A, piece_B in canonical_pieces(det_A, [(0,) * len(delta), delta]):
+        fh.write(encode_basestring_ascii(piece_A)[1:-1])
+        pieces_B.append(piece_B)
+    fh.write('",\n  "det_B": "')
+    for piece in pieces_B:
+        fh.write(encode_basestring_ascii(piece)[1:-1])
+    fh.write(
+        '",\n  "det_B_constant_term": %d,\n  "p": %d,\n  "prop_2_11": "%s",\n'
+        '  "thm_2_3": "%s"\n}\n'
+        % (ct, p, "pass" if ct == 1 else "fail", "pass" if passed else "fail")
+    )
+
+
 def cmd_generic_det(args, cfg, support):
     _require_det_size(support)
-    report = generic_det_check(support, cfg["p"])
-    w = report.witnesses
-    _emit(
-        {
-            "p": cfg["p"],
-            "det_B": w["det_B"],
-            "det_B_constant_term": w["det_B_constant_term"],
-            "det_A": w["det_A"],
-            "thm_2_3": "pass" if report.passed else "fail",
-            "prop_2_11": "pass" if w["det_B_constant_term"] == 1 else "fail",
-        },
-        args.out,
-    )
-    return 0 if report.passed else 1
+    det_A, delta, ct, passed = generic_det(support, cfg["p"])
+    _emit((cfg["p"], det_A, delta, ct, passed), args.out, _dump_generic_det)
+    return 0 if passed else 1
 
 
 def _indices(args, support):

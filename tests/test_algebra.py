@@ -11,6 +11,7 @@ from hassewitt.algebra import (
     FIELD_BOUND,
     ExtensionField,
     SparseLaurentPoly,
+    canonical_pieces,
     det_leibniz,
     evaluate_laurent,
     factorial_table,
@@ -141,31 +142,55 @@ def test_canonical_str_deterministic():
     assert zero(2, 5).canonical_str() == "0"
 
 
-def test_canonical_str_with_shift_matches_shift():
+def texts(pieces):
+    return ["".join(t) for t in zip(*pieces)]
+
+
+def test_canonical_pieces_match_shift():
     rng = random.Random(20261018)
     for _ in range(200):
         p = rng.choice([2, 3, 5, 7])
         nvars = rng.randint(1, 4)
         f = random_poly(rng, nvars, p, nterms=rng.randint(0, 6))
-        delta = [rng.randint(-4, 4) for _ in range(nvars)]
-        assert f.canonical_str(delta) == f.shift(delta).canonical_str()
+        shifts = [
+            [rng.choice((0, rng.randint(-4, 4))) for _ in range(nvars)]
+            for _ in range(rng.randint(1, 3))
+        ]
+        pieces = list(canonical_pieces(f, shifts))
+        assert all(len(piece) == len(shifts) for piece in pieces)
+        assert texts(pieces) == [f.shift(s).canonical_str() for s in shifts]
     half = P(2, None, {(1, -2): Fraction(1, 2), (0, 3): Fraction(-7, 3), (2, 2): 4})
-    assert half.canonical_str((3, -1)) == half.shift((3, -1)).canonical_str()
-    assert half.canonical_str((3, -1)) == (
+    assert texts(canonical_pieces(half, [(3, -1), (0, 0)])) == [
+        half.shift((3, -1)).canonical_str(),
+        half.canonical_str(),
+    ]
+    assert texts(canonical_pieces(half, [(3, -1)])) == [
         "-7/3*L1^3*L2^2 + 1/2*L1^4*L2^-3 + 4*L1^5*L2^1"
-    )
-    assert zero(3, 5).canonical_str((1, 2, 3)) == "0"
+    ]
+    assert list(canonical_pieces(zero(3, 5), [(1, 2, 3), (0, 0, 0)])) == [("0", "0")]
 
 
-def test_canonical_str_rejects_a_shift_of_the_wrong_length():
+def test_canonical_pieces_one_piece_per_head():
+    # only coordinate 0 moves, so each first exponent is a run of its own
+    f = P(3, 5, {(0, 1, 2): 1, (0, 2, 0): 2, (1, 0, 0): 3, (4, 4, 4): 4, (4, 5, 0): 1})
+    pieces = list(canonical_pieces(f, [(0, 0, 0), (-1, 0, 0)]))
+    assert len(pieces) == 3
+    assert texts(pieces) == [f.canonical_str(), f.shift((-1, 0, 0)).canonical_str()]
+    # no coordinate moves: one run
+    assert len(list(canonical_pieces(f, [(0, 0, 0)]))) == 1
+
+
+def test_canonical_pieces_reject_a_shift_of_the_wrong_length():
     f = mono((1, 2), 3, p=5)
     for delta in [(1,), (1, 2, 3), ()]:
         with pytest.raises(ValueError):
-            f.canonical_str(delta)
+            canonical_pieces(f, [delta])
+        with pytest.raises(ValueError):
+            canonical_pieces(f, [(0, 0), delta])
         with pytest.raises(ValueError):
             f.shift(delta)
     with pytest.raises(ValueError):
-        zero(2, 5).canonical_str((1,))
+        canonical_pieces(zero(2, 5), [(1,)])
 
 
 # -- determinants -------------------------------------------------------------
@@ -235,6 +260,29 @@ def test_det_matches_cofactor_random(modulus):
                 d = det_leibniz(mat)
                 assert d == det_cofactor(mat)
                 assert list(d.terms) == sorted(d.terms)
+
+
+@pytest.mark.parametrize("modulus", [None, 5])
+@pytest.mark.parametrize("hi", [3, 2**70], ids=["narrow", "wide"])
+def test_det_nonnegative_exponents_matches_cofactor(modulus, hi):
+    # every least exponent is 0, as in the Hasse-Witt matrix, so the packed
+    # keys unpack with no offset; hi = 2**70 packs wider than 64 bits
+    rng = random.Random(f"nonnegative-{modulus}-{hi}")
+    for m in (1, 2, 3, 4):
+        mat = [
+            [
+                P(3, modulus, {
+                    tuple(rng.choice((0, 1, hi)) for _ in range(3)): rng.randint(1, 4)
+                    for _ in range(3)
+                })
+                for _ in range(m)
+            ]
+            for _ in range(m)
+        ]
+        mat[0][0] = mat[0][0] + const(3, 1, modulus)
+        d = det_leibniz(mat)
+        assert d == det_cofactor(mat)
+        assert list(d.terms) == sorted(d.terms)
 
 
 @pytest.mark.parametrize("modulus", [None, 3])

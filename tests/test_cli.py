@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hassewitt
-from hassewitt import cli, geometry
+from hassewitt import algebra, cli, geometry, hasse_witt
 from hassewitt.cli import PRESETS, main
 
 from conftest import strip_seconds, support_from_preset
@@ -339,10 +339,11 @@ def test_out_file_is_complete_when_stdout_is_closed(tmp_path, capsys, monkeypatc
     assert hashlib.sha256(target.read_bytes()).hexdigest() == RAW_GOLDEN[argv]
 
 
-def test_hw_symbolic_computes_first_through_a_hasse_witt_name_in_cli(capsys, monkeypatch):
-    """The benchmark's set-up probe stops the CLI at its first call into
-    hasse_witt by replacing those names in cli's namespace; a call into
-    geometry that comes before it would escape the probe."""
+def calls_before_a_hasse_witt_name(monkeypatch, argv, watched):
+    """The calls to the ``watched`` functions that the CLI makes before its
+    first call into hasse_witt through a name in cli's namespace.  The
+    benchmark's set-up probe stops the CLI there, by replacing those names;
+    a computation that comes before it would escape the probe."""
 
     class Reached(Exception):
         pass
@@ -350,18 +351,19 @@ def test_hw_symbolic_computes_first_through_a_hasse_witt_name_in_cli(capsys, mon
     def reached(*args, **kwargs):
         raise Reached
 
-    walks = []
-    walk = geometry.representation_coefficients
+    calls = []
 
-    def recorded(*args, **kwargs):
-        walks.append(args)
-        return walk(*args, **kwargs)
+    def recorder(fn):
+        def recorded(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return recorded
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "hassewitt":
             for attr, obj in list(vars(module).items()):
-                if obj is walk:
-                    monkeypatch.setattr(module, attr, recorded)
+                if any(obj is fn for fn in watched):
+                    monkeypatch.setattr(module, attr, recorder(obj))
     for name, obj in list(vars(cli).items()):
         if (
             callable(obj)
@@ -370,8 +372,20 @@ def test_hw_symbolic_computes_first_through_a_hasse_witt_name_in_cli(capsys, mon
         ):
             monkeypatch.setattr(cli, name, reached)
     with pytest.raises(Reached):
-        main(["hw-symbolic", "--preset", "quartic-full", "--p", "5"])
-    assert walks == []
+        main(argv)
+    return calls
+
+
+def test_hw_symbolic_computes_first_through_a_hasse_witt_name_in_cli(monkeypatch):
+    argv = ["hw-symbolic", "--preset", "quartic-full", "--p", "5"]
+    watched = [geometry.representation_coefficients]
+    assert calls_before_a_hasse_witt_name(monkeypatch, argv, watched) == []
+
+
+def test_generic_det_computes_first_through_a_hasse_witt_name_in_cli(monkeypatch):
+    argv = ["generic-det", "--preset", "quartic-full", "--p", "5"]
+    watched = [geometry.representation_coefficients, algebra.det_leibniz]
+    assert calls_before_a_hasse_witt_name(monkeypatch, argv, watched) == []
 
 
 def test_closed_stdout_process_exit_141_without_traceback():
@@ -388,6 +402,78 @@ def test_closed_stdout_process_exit_141_without_traceback():
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+# -- the streamed generic-det report ------------------------------------------
+
+
+def test_generic_det_out_file_holds_the_stdout_bytes(tmp_path, capsys):
+    argv = ("generic-det", "--preset", "quartic-full", "--p", "3")
+    target = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 0
+    assert target.read_bytes() == out.encode()
+    assert hashlib.sha256(out.encode()).hexdigest() == RAW_GOLDEN[argv]
+
+
+def test_generic_det_closed_stdout_exit_141(capsys, monkeypatch):
+    read_end, write_end = os.pipe()
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(write_end))
+        code = main(["generic-det", "--preset", "quartic-full", "--p", "3"])
+        assert code == 141
+        assert capsys.readouterr().err == ""
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+
+
+def test_generic_det_unwritable_out_exit_2_before_computing(tmp_path, capsys, monkeypatch):
+    def computed(*args):
+        raise AssertionError("the determinant was computed before --out was checked")
+
+    monkeypatch.setattr(cli, "generic_det", computed)
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(
+        capsys, "generic-det", "--preset", "quartic-full", "--p", "3", "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: cannot write --out {target}: ")
+
+
+def test_generic_det_singular_matrix_prints_the_json_dump_payload(capsys, monkeypatch):
+    # row 1 a copy of row 0, so det A = 0 and det B = 0
+    support = support_from_preset("quartic-full")
+    first, second = support.interior_set()[:2]
+    entry = hasse_witt.symbolic_entry
+
+    def copied(support, u, v, p):
+        return entry(support, first if u == second else u, v, p)
+
+    monkeypatch.setattr(hasse_witt, "symbolic_entry", copied)
+    code, out, _ = run_cli(capsys, "generic-det", "--preset", "quartic-full", "--p", "3")
+    assert code == 1
+    payload = {
+        "p": 3, "det_B": "0", "det_B_constant_term": 0, "det_A": "0",
+        "thm_2_3": "fail", "prop_2_11": "fail",
+    }
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("command", ["hw-symbolic", "generic-det"])
+def test_bench_setup_probe_stops_at_a_hasse_witt_name(command):
+    """The benchmark's setup_s probe stubs every hasse_witt name bound in
+    cli and prints the time when the CLI first calls one; it exits 98 if
+    the CLI finishes without calling one."""
+    src = Path(hassewitt.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(src.parent / "bench" / "child.py"), "probe",
+         "--", command, "--preset", "quartic-full", "--p", "3"],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert float(proc.stdout) > 0
 
 
 def test_bench_tracer_installs_and_counts_relations(tmp_path):

@@ -69,6 +69,17 @@ RAW_GOLDEN = {
     # 6x6
     ("hw-symbolic", "--preset", "quintic-full", "--p", "3"):
         "8e4832b181d8ff8177ffdbc200ec13dcbc437a5e7ff8c15acc242710b4cd946a",
+    # the benchmark's det-quartic-p5 output
+    ("generic-det", "--preset", "quartic-full", "--p", "5"):
+        "b1da920e7bc650356a6c60b5b36d72b366621c5fcec04933ca4ac3fe9bf91bb0",
+    ("generic-det", "--preset", "quartic-full", "--p", "3"):
+        "ea2eeae2a194c6edfe286f5dde0713c728857daf2a9ca26e25961ed7673cc2ef",
+    # a 1x1 matrix
+    ("generic-det", "--preset", "hesse-cubic", "--p", "7"):
+        "9a6bd578d85b4b797729e240580b6ae34c8f4c872accd9d226b1eef0c4733e97",
+    # 6x6
+    ("generic-det", "--preset", "quintic-full", "--p", "2"):
+        "9f2d81b15cd2460d5f5916c2e7d0874eb01af79421fdf7972fae9c2c4f7ddc04",
 }
 
 
