@@ -115,15 +115,6 @@ class SparseLaurentPoly:
         if self.modulus != other.modulus:
             raise ValueError("operands have different coefficient moduli")
 
-    def __add__(self, other):
-        if not isinstance(other, SparseLaurentPoly):
-            return NotImplemented
-        self._check_compat(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            out[exp] = out.get(exp, 0) + c
-        return SparseLaurentPoly(self.nvars, self.modulus, out)
-
     def __neg__(self):
         return SparseLaurentPoly(
             self.nvars, self.modulus, {e: -c for e, c in self.terms.items()}

@@ -13,19 +13,19 @@ hypothesis violation (interior set not contained in the support), 141
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import shutil
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .algebra import DET_BOUND, ExtensionField, canonical_pieces, is_prime
-from .geometry import SupportSet
+from .algebra import DET_BOUND, ExtensionField, is_prime
+from .geometry import SupportSet, monomials
 from .hasse_witt import (
     HypothesisViolation,
     evaluate_matrix,
     generic_det,
+    matrix_rank,
     sweep_ranks,
     symbolic_entry,
     symbolic_matrix,
@@ -37,15 +37,6 @@ from .hypergeometric import (
     verify_truncation_identity,
 )
 from .suites import SUITE_NAMES, oracle_equivalence, run_suites
-
-
-def _all_monomials(d, nvars):
-    out = []
-    for head in itertools.product(range(d + 1), repeat=nvars - 1):
-        rest = d - sum(head)
-        if rest >= 0:
-            out.append(head + (rest,))
-    return sorted(out)
 
 
 PRESETS = {
@@ -62,12 +53,12 @@ PRESETS = {
     "quartic-full": {
         "n": 2,
         "d": 4,
-        "exponents": [list(a) for a in _all_monomials(4, 3)],
+        "exponents": [list(a) for a in monomials(4, 3)],
     },
     "quintic-full": {
         "n": 2,
         "d": 5,
-        "exponents": [list(a) for a in _all_monomials(5, 3)],
+        "exponents": [list(a) for a in monomials(5, 3)],
     },
 }
 
@@ -264,14 +255,14 @@ def cmd_hw_eval(args, cfg, support):
         rows = [f"{x.canonical_str()},{r}" for x, r in zip(field.elements(), ranks)]
         _emit(["lambda_k,rank"] + rows, args.out, _dump_lines)
         return 0
-    ev = evaluate_matrix(A, point, field)
+    rows = evaluate_matrix(A, point, field)
     _emit(
         {
             "p": cfg["p"],
             "a": cfg["a"],
             "lambda": [x.canonical_str() for x in point],
-            "matrix": [[x.canonical_str() for x in row] for row in ev.entries],
-            "rank": ev.rank,
+            "matrix": [[x.canonical_str() for x in row] for row in rows],
+            "rank": matrix_rank(rows),
         },
         args.out,
     )
@@ -287,32 +278,32 @@ def _require_det_size(support):
 
 
 def _dump_generic_det(request, fh):
-    """The generic-det report of ``request = (p, det_A, delta, ct, passed)``
-    (see hasse_witt.generic_det) in the layout of ``_dump_json``, rendered
-    as it is written.  One walk over det A's terms (canonical_pieces) makes
-    the pieces of both texts: det A's are escaped as ``json.dump`` does and
-    written at once, det B's are kept and written after them, one by one."""
-    p, det_A, delta, ct, passed = request
+    """The generic-det report of ``request = (p, ct, pieces)`` (see
+    hasse_witt.generic_det) in the layout of ``_dump_json``, written as the
+    pieces come: det A's are escaped as ``json.dump`` does and written at
+    once, det B's are kept and written after them, one by one.  Both
+    verdicts are ct = 1 (Prop 2.11, and with it Thm 2.3)."""
+    p, ct, pieces = request
     fh.write('{\n  "det_A": "')
     pieces_B = []
-    for piece_A, piece_B in canonical_pieces(det_A, [(0,) * len(delta), delta]):
+    for piece_A, piece_B in pieces:
         fh.write(encode_basestring_ascii(piece_A)[1:-1])
         pieces_B.append(piece_B)
     fh.write('",\n  "det_B": "')
     for piece in pieces_B:
         fh.write(encode_basestring_ascii(piece)[1:-1])
+    verdict = "pass" if ct == 1 else "fail"
     fh.write(
         '",\n  "det_B_constant_term": %d,\n  "p": %d,\n  "prop_2_11": "%s",\n'
-        '  "thm_2_3": "%s"\n}\n'
-        % (ct, p, "pass" if ct == 1 else "fail", "pass" if passed else "fail")
+        '  "thm_2_3": "%s"\n}\n' % (ct, p, verdict, verdict)
     )
 
 
 def cmd_generic_det(args, cfg, support):
     _require_det_size(support)
-    det_A, delta, ct, passed = generic_det(support, cfg["p"])
-    _emit((cfg["p"], det_A, delta, ct, passed), args.out, _dump_generic_det)
-    return 0 if passed else 1
+    ct, _, pieces = generic_det(support, cfg["p"])
+    _emit((cfg["p"], ct, pieces), args.out, _dump_generic_det)
+    return 0 if ct == 1 else 1
 
 
 def _indices(args, support):

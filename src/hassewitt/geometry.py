@@ -20,8 +20,19 @@ from fractions import Fraction
 from .algebra import factorial_table, inverse_factorial_table
 
 
+def monomials(d, nvars):
+    """All exponent vectors in N^nvars with sum d, in lex order."""
+    out = []
+    for head in itertools.product(range(d + 1), repeat=nvars - 1):
+        rest = d - sum(head)
+        if rest >= 0:
+            out.append(head + (rest,))
+    return sorted(out)
+
+
 def enumerate_interior(d, n):
-    """All u in N^{n+1} with sum(u) = d and every u_i > 0, in lex order.
+    """All u in N^{n+1} with sum(u) = d and every u_i > 0, in lex order:
+    the monomials of degree d-n-1 in n+1 variables, each coordinate plus 1.
 
     These index the rows/columns of the Hasse-Witt matrix; there are
     C(d-1, n) of them, and the set is empty iff d < n+1.
@@ -30,17 +41,7 @@ def enumerate_interior(d, n):
         raise ValueError(
             f"no interior monomials: degree {d} < {n + 1} variables"
         )
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(tuple(prefix) + (remaining,))
-            return
-        for u in range(1, remaining - slots + 2):
-            rec(prefix + [u], remaining - u, slots - 1)
-
-    rec([], d, n + 1)
-    return out
+    return [tuple(x + 1 for x in a) for a in monomials(d - n - 1, n + 1)]
 
 
 def lift(exponents):

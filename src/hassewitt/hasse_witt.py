@@ -65,10 +65,6 @@ class HWMatrixSymbolic:
     labels: tuple  # interior vectors indexing rows/columns
     entries: tuple  # tuple of tuples of SparseLaurentPoly
 
-    @property
-    def size(self):
-        return len(self.labels)
-
 
 def symbolic_matrix(support: SupportSet, p) -> HWMatrixSymbolic:
     """The full matrix over U x U, U = interior set in lex order."""
@@ -110,64 +106,57 @@ def scaled_matrix(A: HWMatrixSymbolic) -> HWMatrixSymbolic:
     _require_interior(support, "the rescaled matrix")
     p = A.p
     entries = []
-    for i in range(A.size):
-        row = []
-        for j in range(A.size):
+    for i, row in enumerate(A.entries):
+        scaled = []
+        for j, poly in enumerate(row):
             delta = [0] * support.N
             delta[i] -= p
             delta[j] += 1
-            row.append(A.entries[i][j].shift(delta))
-        entries.append(tuple(row))
+            scaled.append(poly.shift(delta))
+        entries.append(tuple(scaled))
     return replace(A, entries=tuple(entries))
 
 
 def generic_det(support: SupportSet, p):
-    """Generic invertibility: (det A, delta, ct, passed), where det A is the
-    determinant of the symbolic matrix, det B = det A * L^delta that of the
-    rescaled matrix B, ct det B's constant term, and passed says that ct is
-    1 (Prop 2.11), hence det A is a nonzero polynomial (Thm 2.3).
+    """Generic invertibility: (ct, det_A_nonzero, pieces), where ct is the
+    constant term of det B, the determinant of the rescaled matrix B, and
+    pieces iterates over (det A piece, det B piece) pairs whose
+    concatenations are the canonical texts of det A and det B
+    (algebra.canonical_pieces).  ct = 1 is Prop 2.11, and it makes det A a
+    nonzero polynomial (Thm 2.3).
 
     Only det A is expanded, and no polynomial for det B is built.  B is A
     with row i multiplied by L_i^{-p} and column j by L_j, so by
-    multilinearity of the determinant det B = det A * prod_{k<m} L_k^{1-p}
-    exactly: delta is 1 - p on the m interior coordinates and 0 elsewhere,
-    and ct is det A's coefficient at L^{-delta}.
+    multilinearity of the determinant det B = det A * L^delta exactly, with
+    delta 1 - p on the m interior coordinates and 0 elsewhere: ct is det A's
+    coefficient at L^{-delta}, and det B's text is det A's shifted by delta.
     """
     _require_interior(support, "the generic determinant check")
     det_A = det_leibniz(symbolic_matrix(support, p).entries)
     delta = tuple(1 - p if k < support.m else 0 for k in range(support.N))
     ct = det_A.terms.get(tuple(-x for x in delta), 0)
-    return det_A, delta, ct, ct == 1 and not det_A.is_zero
+    return ct, not det_A.is_zero, canonical_pieces(det_A, [(0,) * len(delta), delta])
 
 
 def generic_det_check(support: SupportSet, p) -> VerificationReport:
-    """generic_det as a report, with the texts of det A and det B, both
-    joined from one walk over det A's terms (algebra.canonical_pieces)."""
+    """generic_det as a report, with the texts of det A and det B joined
+    from its pieces."""
     start = time.monotonic()
-    det_A, delta, ct, passed = generic_det(support, p)
-    text_A, text_B = map("".join, zip(*canonical_pieces(det_A, [(0,) * len(delta), delta])))
+    ct, det_A_nonzero, pieces = generic_det(support, p)
+    text_A, text_B = map("".join, zip(*pieces))
     return VerificationReport(
         statement="theorem-2.3/prop-2.11",
-        passed=passed,
+        passed=ct == 1,
         witnesses={
             "p": p,
             "matrix_size": support.m,
             "det_B_constant_term": ct,
-            "det_A_nonzero": not det_A.is_zero,
+            "det_A_nonzero": det_A_nonzero,
             "det_B": text_B,
             "det_A": text_A,
         },
         seconds=time.monotonic() - start,
     )
-
-
-@dataclass(frozen=True)
-class HWMatrixEvaluated:
-    p: int
-    a: int
-    point: tuple
-    entries: tuple  # tuple of tuples of ExtensionFieldElement
-    rank: int
 
 
 def matrix_rank(rows):
@@ -194,27 +183,12 @@ def matrix_rank(rows):
     return rank
 
 
-def _check_point(A: HWMatrixSymbolic, point, field: ExtensionField):
-    if field.p != A.p:
-        raise ValueError(
-            f"field characteristic {field.p} does not match matrix prime {A.p}"
-        )
-    point = tuple(point)
-    if len(point) != A.support.N:
-        raise ValueError("specialization point has wrong length")
-    return point
-
-
-def evaluate_matrix(A: HWMatrixSymbolic, point, field: ExtensionField) -> HWMatrixEvaluated:
-    """Substitute the specialization point into every entry and report the
-    rank of the resulting matrix over GF(q)."""
-    point = _check_point(A, point, field)
-    entries = tuple(
-        tuple(poly.evaluate(point, field) for poly in row) for row in A.entries
-    )
-    return HWMatrixEvaluated(
-        p=A.p, a=field.a, point=point, entries=entries, rank=matrix_rank(entries)
-    )
+def evaluate_matrix(A: HWMatrixSymbolic, point, field: ExtensionField):
+    """The rows of A with the specialization point substituted into every
+    entry: a tuple of tuples of elements of ``field``.  A point of the wrong
+    length or a field of the wrong characteristic raises ValueError
+    (algebra.specialize)."""
+    return tuple(tuple(poly.evaluate(point, field) for poly in row) for row in A.entries)
 
 
 def sweep_ranks(A: HWMatrixSymbolic, point, k, field: ExtensionField):
@@ -227,13 +201,14 @@ def sweep_ranks(A: HWMatrixSymbolic, point, k, field: ExtensionField):
     witness, the specialized entries at the base value point[k] must equal
     evaluate_matrix at ``point``, which leaves coordinate 0 free instead of
     k; a mismatch raises, since it would mean the substitution is broken.
+    A point of the wrong length or a field of the wrong characteristic
+    raises ValueError, as in evaluate_matrix.
     """
-    point = _check_point(A, point, field)
     special = [[specialize(poly, point, k, field) for poly in row] for row in A.entries]
     at_base = tuple(
         tuple(evaluate_laurent(c, point[k], field) for c in row) for row in special
     )
-    if at_base != evaluate_matrix(A, point, field).entries:
+    if at_base != evaluate_matrix(A, point, field):
         raise RuntimeError("specialized entries disagree with evaluate_matrix")
     return [
         matrix_rank([[evaluate_laurent(c, x, field) for c in row] for row in special])
@@ -241,13 +216,11 @@ def sweep_ranks(A: HWMatrixSymbolic, point, k, field: ExtensionField):
     ]
 
 
-def oracle_dense_coefficient(support: SupportSet, point, p, u, v, field=None):
+def oracle_dense_coefficient(support: SupportSet, point, p, u, v, field):
     """Independent oracle: expand f^{p-1} by p-2 successive sparse
     multiplications in the x-variables over GF(q) and read off the
     coefficient of x^{p*u - v}.  Shares no code with symbolic_entry.
     """
-    if field is None:
-        field = ExtensionField(p, 1)
     if field.p != p:
         raise ValueError("field characteristic mismatch")
     f = {}
@@ -255,8 +228,6 @@ def oracle_dense_coefficient(support: SupportSet, point, p, u, v, field=None):
         if lam:
             f[a] = lam
     power = dict(f)
-    if not f:
-        power = {}
     for _ in range(p - 2):
         power = _dense_mul(power, f, field)
     key = tuple(p * x - y for x, y in zip(u, v))

@@ -323,12 +323,12 @@ def oracle_equivalence(support: SupportSet, p, a=1, point=None, seed=0):
         pool = list(field.elements())
         point = tuple(rng.choice(pool) for _ in range(support.N))
     A = symbolic_matrix(support, p)
-    evaluated = evaluate_matrix(A, point, field)
+    rows = evaluate_matrix(A, point, field)
     mism = []
     for i, u in enumerate(A.labels):
         for j, v in enumerate(A.labels):
             expected = oracle_dense_coefficient(support, point, p, u, v, field)
-            if evaluated.entries[i][j] != expected:
+            if rows[i][j] != expected:
                 mism.append((i, j))
     return VerificationReport(
         statement="oracle-eq-2.2",

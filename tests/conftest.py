@@ -32,18 +32,27 @@ def zero(nvars, p=None):
     return SparseLaurentPoly(nvars, p, {})
 
 
+def plus(*polys):
+    """The sum of polynomials in the same variables and modulus, built as
+    one term dict."""
+    terms = {}
+    for f in polys:
+        for exp, c in f.terms.items():
+            terms[exp] = terms.get(exp, 0) + c
+    return SparseLaurentPoly(polys[0].nvars, polys[0].modulus, terms)
+
+
 def det_cofactor(mat):
     # independent oracle: expansion along the first row
     m = len(mat)
     if m == 1:
         return mat[0][0]
-    proto = mat[0][0]
-    acc = zero(proto.nvars, proto.modulus)
+    terms = []
     for j in range(m):
         minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
         term = mat[0][j] * det_cofactor(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+        terms.append(term if j % 2 == 0 else -term)
+    return plus(*terms)
 
 
 def monomial_derivative(f, orders):

@@ -105,10 +105,10 @@ def test_criterion_4_oracle_equivalence():
         pool = list(field.elements())
         point = tuple(rng.choice(pool) for _ in range(support.N))
         A = symbolic_matrix(support, p)
-        ev = evaluate_matrix(A, point, field)
+        rows = evaluate_matrix(A, point, field)
         for i, u in enumerate(A.labels):
             for j, v in enumerate(A.labels):
-                ok = ok and ev.entries[i][j] == oracle_dense_coefficient(
+                ok = ok and rows[i][j] == oracle_dense_coefficient(
                     support, point, p, u, v, field
                 )
         instances += 1

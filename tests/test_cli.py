@@ -494,6 +494,34 @@ def test_bench_tracer_installs_and_counts_relations(tmp_path):
     assert trace["counts"]["suites.box_relations.used"] > 0
 
 
+@pytest.mark.parametrize(
+    "argv,span",
+    [
+        (["hw-eval", "--sweep", "k=4"], "hasse_witt.evaluate_matrix"),
+        (["generic-det", "--preset", "hesse-cubic", "--p", "5"], "hasse_witt.generic_det"),
+    ],
+    ids=["hw-eval-sweep", "generic-det"],
+)
+def test_bench_tracer_runs_the_commands_whose_values_it_spans(tmp_path, argv, span):
+    """A traced run of the sweep (hesse-cubic over GF(25)) and of generic-det
+    exits 0 and calls the hasse_witt function whose return value the
+    command consumes."""
+    if argv[0] == "hw-eval":
+        argv = argv + ["--config", write_config(
+            tmp_path, a=2, **{"lambda": ["1,1", "1,0", "0,1", "1,0"]})]
+    src = Path(hassewitt.__file__).parents[1]
+    out = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, str(src.parent / "bench" / "child.py"), "trace", str(out),
+         "--", *argv],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    calls, _ = json.loads(out.read_text())["spans"][span]
+    assert calls > 0
+
+
 def test_extension_field_lambda(tmp_path, capsys):
     path = write_config(
         tmp_path, a=2, **{"lambda": ["1,1", "1,0", "0,1", "1,0"]}

@@ -4,13 +4,13 @@ configuration, 3 hypothesis violation) and never in a traceback."""
 
 import contextlib
 import io
-import itertools
 import json
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hassewitt.cli import main
+from hassewitt.geometry import monomials
 
 JUNK = st.one_of(
     st.none(),
@@ -28,17 +28,11 @@ ELEMENT = st.one_of(
 )
 
 
-def _monomials(d, nvars):
-    return [
-        list(e) for e in itertools.product(range(d + 1), repeat=nvars) if sum(e) == d
-    ]
-
-
 @st.composite
 def well_formed_config(draw):
     n = draw(st.integers(1, 2))
     d = draw(st.integers(n + 1, n + 2))
-    pool = _monomials(d, n + 1)
+    pool = [list(e) for e in monomials(d, n + 1)]
     exponents = draw(
         st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool), unique_by=tuple)
     )

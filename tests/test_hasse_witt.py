@@ -7,7 +7,7 @@ import pytest
 from hassewitt import hasse_witt, suites
 from hassewitt.algebra import ExtensionField, SparseLaurentPoly, det_leibniz
 from hassewitt.cli import main
-from hassewitt.geometry import SupportSet, in_Li
+from hassewitt.geometry import SupportSet, in_Li, monomials
 from hassewitt.hasse_witt import (
     HypothesisViolation,
     evaluate_matrix,
@@ -20,7 +20,7 @@ from hassewitt.hasse_witt import (
     sweep_ranks,
 )
 
-from conftest import const, det_cofactor, mono, support_from_preset
+from conftest import const, det_cofactor, mono, plus, support_from_preset
 from test_golden import GOLDEN
 
 U111 = (1, 1, 1)
@@ -108,7 +108,7 @@ LEMMA_MUTANTS = {
 def test_lemma_suites_report_a_mutant_entry(hesse, monkeypatch, suite):
     added, violations = LEMMA_MUTANTS[suite]
     A = symbolic_matrix(hesse, 5)
-    entry = A.entries[0][0] + SparseLaurentPoly(4, 5, added)
+    entry = plus(A.entries[0][0], SparseLaurentPoly(4, 5, added))
     mutant = dataclasses.replace(A, entries=((entry,),))
     monkeypatch.setattr(suites, "symbolic_matrix", lambda support, p: mutant)
     reports = {nm: suites.run_suites(hesse, 5, nm)[0] for nm in ("2.7", "2.8")}
@@ -198,7 +198,7 @@ def test_generic_det_reports_a_mutant_entry(capsys, monkeypatch, preset, p):
     A = symbolic_matrix(support, p)
     bump = mono((p - 1,) + (0,) * (support.N - 1), 1, p)
     rows = [list(row) for row in A.entries]
-    rows[0][0] = rows[0][0] + bump
+    rows[0][0] = plus(rows[0][0], bump)
     mutant = dataclasses.replace(A, entries=tuple(tuple(r) for r in rows))
     monkeypatch.setattr(hasse_witt, "symbolic_matrix", lambda support, p: mutant)
     assert main(["generic-det", "--preset", preset, "--p", str(p)]) == 1
@@ -220,9 +220,9 @@ def _point(field, values):
 def test_evaluate_zero_point(hesse):
     F = ExtensionField(5, 1)
     A = symbolic_matrix(hesse, 5)
-    ev = evaluate_matrix(A, _point(F, [0, 0, 0, 0]), F)
-    assert ev.rank == 0
-    assert not ev.entries[0][0]
+    rows = evaluate_matrix(A, _point(F, [0, 0, 0, 0]), F)
+    assert matrix_rank(rows) == 0
+    assert not rows[0][0]
 
 
 def test_evaluate_hesse_points(hesse):
@@ -230,20 +230,23 @@ def test_evaluate_hesse_points(hesse):
     F = ExtensionField(5, 1)
     A = symbolic_matrix(hesse, 5)
     # Fermat member: xyz coefficient 0 -> entry 0, supersingular
-    ev = evaluate_matrix(A, _point(F, [0, 1, 1, 1]), F)
-    assert ev.rank == 0
-    ev = evaluate_matrix(A, _point(F, [1, 1, 1, 1]), F)
-    assert ev.rank == 0  # 4 + 1 = 0 mod 5
-    ev = evaluate_matrix(A, _point(F, [2, 1, 1, 1]), F)
-    assert ev.entries[0][0] == F.from_int(4)  # 4*2 + 2^4 = 24 = 4
-    assert ev.rank == 1
+    rows = evaluate_matrix(A, _point(F, [0, 1, 1, 1]), F)
+    assert matrix_rank(rows) == 0
+    rows = evaluate_matrix(A, _point(F, [1, 1, 1, 1]), F)
+    assert matrix_rank(rows) == 0  # 4 + 1 = 0 mod 5
+    rows = evaluate_matrix(A, _point(F, [2, 1, 1, 1]), F)
+    assert rows == ((F.from_int(4),),)  # 4*2 + 2^4 = 24 = 4
+    assert matrix_rank(rows) == 1
 
 
 def test_evaluate_characteristic_mismatch(hesse):
     A = symbolic_matrix(hesse, 5)
     F = ExtensionField(3, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="characteristic"):
         evaluate_matrix(A, _point(F, [1, 1, 1, 1]), F)
+    F5 = ExtensionField(5, 1)
+    with pytest.raises(ValueError, match="wrong length"):
+        evaluate_matrix(A, _point(F5, [1, 1, 1]), F5)
 
 
 def test_matrix_rank():
@@ -280,22 +283,11 @@ def _random_support(rng):
     from hassewitt.geometry import enumerate_interior
 
     interior = enumerate_interior(d, n)
-    pool = _all_monomials(d, n + 1)
+    pool = monomials(d, n + 1)
     extra = [a for a in pool if a not in interior]
     rng.shuffle(extra)
     take = extra[: rng.randint(0, min(len(extra), 8 - len(interior)))]
     return SupportSet.build(n, d, interior + take)
-
-
-def _all_monomials(d, nvars):
-    import itertools
-
-    out = []
-    for head in itertools.product(range(d + 1), repeat=nvars - 1):
-        rest = d - sum(head)
-        if rest >= 0:
-            out.append(head + (rest,))
-    return sorted(out)
 
 
 def test_oracle_equivalence_random():
@@ -309,11 +301,11 @@ def test_oracle_equivalence_random():
         pool = list(field.elements())
         point = tuple(rng.choice(pool) for _ in range(support.N))
         A = symbolic_matrix(support, p)
-        ev = evaluate_matrix(A, point, field)
+        rows = evaluate_matrix(A, point, field)
         for i, u in enumerate(A.labels):
             for j, v in enumerate(A.labels):
                 expected = oracle_dense_coefficient(support, point, p, u, v, field)
-                assert ev.entries[i][j] == expected
+                assert rows[i][j] == expected
                 checked += 1
     assert checked >= 100
 

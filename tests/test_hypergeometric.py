@@ -20,7 +20,7 @@ from hassewitt.hypergeometric import (
     verify_truncation_identity,
 )
 
-from conftest import const, mono, monomial_derivative, support_from_preset
+from conftest import const, mono, monomial_derivative, plus, support_from_preset
 
 P = SparseLaurentPoly
 
@@ -52,7 +52,7 @@ def test_box_depth_one_solution():
     # the visible cancellation: d2 d3 d4 of the second term matches d1^3 of
     # the first; the only residual is the boundary term at (-7,1,1,1),
     # cancelled by the next (depth-excluded) series term
-    f = mono((-1, 0, 0, 0)) + mono((-4, 1, 1, 1), -6)
+    f = P(4, None, {(-1, 0, 0, 0): 1, (-4, 1, 1, 1): -6})
     got = box_apply(HESSE_REL, f)
     assert got == mono((-7, 1, 1, 1), -720)
     rep = verify_hypergeometric_solution(
@@ -97,7 +97,7 @@ def test_box_apply_is_difference_of_derivatives():
         })
         l = tuple(rng.randint(-4, 4) for _ in range(4))
         lp, lm = relation_parts(l)
-        assert box_apply(l, f) == monomial_derivative(f, lp) + -monomial_derivative(f, lm)
+        assert box_apply(l, f) == plus(monomial_derivative(f, lp), -monomial_derivative(f, lm))
 
 
 # -- Euler operators -----------------------------------------------------------
@@ -210,7 +210,7 @@ def test_derivative_series_matches_monomial_derivative(preset, depth):
             unit = tuple(int(k == j) for k in range(N))
             expected = monomial_derivative(gi.poly, unit)
             if j == i:
-                expected = expected + mono(tuple(-x for x in unit))
+                expected = plus(expected, mono(tuple(-x for x in unit)))
             got = derivative_series(gi, j)
             assert got.poly == expected
             assert all(isinstance(c, int) for c in got.poly.terms.values())
@@ -305,7 +305,7 @@ def test_verify_detects_corruption(hesse):
     p = 5
     ds = derivative_series(series_Gi(hesse, 0, p), 0).poly.reduce_mod(p)
     f = trunc(rho_window(4, 0), ds, p)
-    corrupted = f + mono((-1, 0, 0, 0), 1, p)
+    corrupted = plus(f, mono((-1, 0, 0, 0), 1, p))
     rep = verify_hypergeometric_solution(
         corrupted, hesse_beta(hesse), [HESSE_REL], hesse.lifted, mode="mod-p"
     )
@@ -434,7 +434,7 @@ def test_truncation_identity_quartic_entries(quartic):
 def _mutant(rng, f, p):
     """f plus one nonzero coefficient at an exponent within 2 of its support."""
     exp = tuple(e + rng.randint(-2, 2) for e in rng.choice(sorted(f.terms)))
-    return f + P(f.nvars, p, {exp: rng.randint(1, p - 1)})
+    return plus(f, P(f.nvars, p, {exp: rng.randint(1, p - 1)}))
 
 
 def _flip(rng, f, p):
