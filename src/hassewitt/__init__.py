@@ -7,7 +7,6 @@ from .algebra import (
     ExtensionFieldElement,
     SparseLaurentPoly,
     det_leibniz,
-    multinomial_mod_p,
 )
 from .geometry import (
     SupportSet,
@@ -56,7 +55,6 @@ __all__ = [
     "evaluate_matrix",
     "generic_det_check",
     "kernel_basis",
-    "multinomial_mod_p",
     "oracle_dense_coefficient",
     "representation_coefficients",
     "rho_truncation",

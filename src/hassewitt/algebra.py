@@ -50,24 +50,6 @@ def inverse_factorial_table(p):
     return tuple(pow(f, p - 2, p) for f in factorial_table(p))
 
 
-def multinomial_mod_p(e, p) -> int:
-    """(p-1)! / (e_1! ... e_N!) mod p, for e summing to p-1.
-
-    Every e_k < p, so each factorial is a unit mod p and the quotient is
-    (p-1)! times a product of entries of the inverse-factorial table.
-    """
-    e = tuple(e)
-    if min(e, default=0) < 0:
-        raise ValueError("negative entry in multinomial argument")
-    if sum(e) != p - 1:
-        raise ValueError(f"entries sum to {sum(e)}, expected p-1 = {p - 1}")
-    inv = inverse_factorial_table(p)
-    val = factorial_table(p)[p - 1]
-    for x in e:
-        val = val * inv[x] % p
-    return val
-
-
 class SparseLaurentPoly:
     """Finitely supported map from integer exponent vectors to coefficients.
 

@@ -13,10 +13,12 @@ hypothesis violation (interior set not contained in the support), 141
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import shutil
 import sys
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
 from .algebra import DET_BOUND, ExtensionField, is_prime
@@ -36,6 +38,7 @@ from .hypergeometric import (
     series_Gi,
     verify_truncation_identity,
 )
+from .reports import Text
 from .suites import SUITE_NAMES, oracle_equivalence, run_suites
 
 
@@ -165,8 +168,57 @@ def parse_lambda(cfg, support: SupportSet):
 
 
 def _dump_json(payload, fh):
-    json.dump(payload, fh, indent=2, sort_keys=True)
-    fh.write("\n")
+    """Write what ``json.dump(payload, fh, indent=2, sort_keys=True)`` and a
+    newline write (for string keys), consuming a reports.Text as one string
+    and any other Iterator as a list as they are written.  Layout and small
+    values are held, up to io.DEFAULT_BUFFER_SIZE, until a value from a Text
+    or an Iterator arrives: nothing is written before that value is
+    computed.  It, or a larger value, is written on its own, not joined."""
+    held = io.StringIO()
+    for chunk, lazy in _json_chunks(payload, "\n"):
+        alone = lazy or len(chunk) > io.DEFAULT_BUFFER_SIZE
+        if not alone:
+            held.write(chunk)
+        if alone or held.tell() > io.DEFAULT_BUFFER_SIZE:
+            fh.write(held.getvalue())
+            held = io.StringIO()
+        if alone:
+            fh.write(chunk)
+        del chunk  # an entry's text is not kept while the next is computed
+    fh.write(held.getvalue() + "\n")
+
+
+def _json_chunks(value, newline):
+    """(text, lazy) pairs that make up ``value`` in _dump_json's layout from
+    indentation ``newline`` on; lazy marks a value read from a Text or an
+    Iterator.  Such a string is escaped, and its raw text dropped, first."""
+    inner = newline + "  "
+    if isinstance(value, Text):
+        yield '"', False
+        for piece in value.pieces:
+            yield encode_basestring_ascii(piece)[1:-1], True
+        yield '"', False
+    elif isinstance(value, dict):
+        separator = "{" + inner
+        for key in sorted(value):
+            yield separator + encode_basestring_ascii(key) + ": ", False
+            yield from _json_chunks(value[key], inner)
+            separator = "," + inner
+        yield newline + "}" if value else "{}", False
+    elif isinstance(value, (list, tuple, Iterator)):
+        separator = "[" + inner
+        for item in value:
+            yield separator, False
+            separator = "," + inner
+            if isinstance(value, Iterator) and isinstance(item, str):
+                item = encode_basestring_ascii(item)
+                yield item, True
+                del item
+            else:
+                yield from _json_chunks(item, inner)
+        yield newline + "]" if separator[0] == "," else "[]", False
+    else:
+        yield json.dumps(value), False
 
 
 def _dump_lines(lines, fh):
@@ -174,12 +226,10 @@ def _dump_lines(lines, fh):
 
 
 def _emit(payload, out_path=None, dump=_dump_json):
-    """Write ``payload`` once with ``dump``: canonical JSON, with
-    ``dump=_dump_lines`` one line per string, with ``_dump_hw_symbolic``
-    the matrix computed as it is written, with ``_dump_generic_det`` the
-    determinant's texts rendered as they are written.  With --out it goes
-    to that file, which is then copied to stdout, so the file is complete
-    even when stdout's reader has gone.  No string of the whole output is
+    """Write ``payload`` once with ``dump``: canonical JSON (_dump_json), or
+    with ``dump=_dump_lines`` one line per string.  With --out it goes to
+    that file, which is then copied to stdout, so the file is complete even
+    when stdout's reader has gone.  No string of the whole output is
     built."""
     if out_path:
         with open(out_path, "w") as fh:
@@ -203,31 +253,15 @@ def _check_out(path):
         os.remove(path)
 
 
-def _dump_hw_symbolic(request, fh):
-    """The hw-symbolic report of ``request = (support, p)`` in the layout of
-    ``_dump_json``, computed as it is written: each entry is rendered and
-    written before the next is computed, so at most one entry is alive.
-    The layout assumes at least one label: SupportSet.build refuses an
-    empty interior set."""
-    support, p = request
-    labels = support.interior_set()
-    names = ",\n    ".join(
-        encode_basestring_ascii("".join(map(str, u))) for u in labels
-    )
-    before = '{\n  "labels": [\n    %s\n  ],\n  "matrix": [\n    [\n      ' % names
-    for u in labels:
-        for v in labels:
-            text = encode_basestring_ascii(symbolic_entry(support, u, v, p).canonical_str())
-            fh.write(before)
-            fh.write(text)
-            del text
-            before = ",\n      "
-        before = "\n    ],\n    [\n      "
-    fh.write('\n    ]\n  ],\n  "p": %d\n}\n' % p)
-
-
 def cmd_hw_symbolic(args, cfg, support):
-    _emit((support, cfg["p"]), args.out, _dump_hw_symbolic)
+    # each entry is computed, written and dropped before the next
+    p = cfg["p"]
+    labels = support.interior_set()
+    matrix = (
+        (symbolic_entry(support, u, v, p).canonical_str() for v in labels) for u in labels
+    )
+    names = ["".join(map(str, u)) for u in labels]
+    _emit({"labels": names, "matrix": matrix, "p": p}, args.out)
     return 0
 
 
@@ -277,32 +311,15 @@ def _require_det_size(support):
         )
 
 
-def _dump_generic_det(request, fh):
-    """The generic-det report of ``request = (p, ct, pieces)`` (see
-    hasse_witt.generic_det) in the layout of ``_dump_json``, written as the
-    pieces come: det A's are escaped as ``json.dump`` does and written at
-    once, det B's are kept and written after them, one by one.  Both
-    verdicts are ct = 1 (Prop 2.11, and with it Thm 2.3)."""
-    p, ct, pieces = request
-    fh.write('{\n  "det_A": "')
-    pieces_B = []
-    for piece_A, piece_B in pieces:
-        fh.write(encode_basestring_ascii(piece_A)[1:-1])
-        pieces_B.append(piece_B)
-    fh.write('",\n  "det_B": "')
-    for piece in pieces_B:
-        fh.write(encode_basestring_ascii(piece)[1:-1])
-    verdict = "pass" if ct == 1 else "fail"
-    fh.write(
-        '",\n  "det_B_constant_term": %d,\n  "p": %d,\n  "prop_2_11": "%s",\n'
-        '  "thm_2_3": "%s"\n}\n' % (ct, p, verdict, verdict)
-    )
-
-
 def cmd_generic_det(args, cfg, support):
     _require_det_size(support)
-    ct, _, pieces = generic_det(support, cfg["p"])
-    _emit((cfg["p"], ct, pieces), args.out, _dump_generic_det)
+    ct, _, text_A, text_B = generic_det(support, cfg["p"])
+    verdict = "pass" if ct == 1 else "fail"  # Prop 2.11, and with it Thm 2.3
+    payload = {
+        "det_A": text_A, "det_B": text_B, "det_B_constant_term": ct,
+        "p": cfg["p"], "prop_2_11": verdict, "thm_2_3": verdict,
+    }
+    _emit(payload, args.out)
     return 0 if ct == 1 else 1
 
 

@@ -28,7 +28,7 @@ from .geometry import (
     in_Li,
     representation_coefficients,
 )
-from .reports import VerificationReport
+from .reports import Text, VerificationReport
 
 
 class HypothesisViolation(Exception):
@@ -118,12 +118,11 @@ def scaled_matrix(A: HWMatrixSymbolic) -> HWMatrixSymbolic:
 
 
 def generic_det(support: SupportSet, p):
-    """Generic invertibility: (ct, det_A_nonzero, pieces), where ct is the
-    constant term of det B, the determinant of the rescaled matrix B, and
-    pieces iterates over (det A piece, det B piece) pairs whose
-    concatenations are the canonical texts of det A and det B
-    (algebra.canonical_pieces).  ct = 1 is Prop 2.11, and it makes det A a
-    nonzero polynomial (Thm 2.3).
+    """Generic invertibility: (ct, det_A_nonzero, text_A, text_B), where ct
+    is the constant term of det B, the determinant of the rescaled matrix B,
+    and the Texts of det A and det B come from one algebra.canonical_pieces
+    walk: text_A reads it and keeps det B's pieces, so it is read first.
+    ct = 1 is Prop 2.11, and it makes det A a nonzero polynomial (Thm 2.3).
 
     Only det A is expanded, and no polynomial for det B is built.  B is A
     with row i multiplied by L_i^{-p} and column j by L_j, so by
@@ -135,15 +134,22 @@ def generic_det(support: SupportSet, p):
     det_A = det_leibniz(symbolic_matrix(support, p).entries)
     delta = tuple(1 - p if k < support.m else 0 for k in range(support.N))
     ct = det_A.terms.get(tuple(-x for x in delta), 0)
-    return ct, not det_A.is_zero, canonical_pieces(det_A, [(0,) * len(delta), delta])
+    pieces = canonical_pieces(det_A, [(0,) * len(delta), delta])
+    kept = []  # text_B iterates over the list once text_A has filled it
+
+    def pieces_A():
+        for piece_A, piece_B in pieces:
+            kept.append(piece_B)
+            yield piece_A
+
+    return ct, not det_A.is_zero, Text(pieces_A()), Text(kept)
 
 
 def generic_det_check(support: SupportSet, p) -> VerificationReport:
-    """generic_det as a report, with the texts of det A and det B joined
-    from its pieces."""
+    """generic_det as a report, with the texts of det A and det B as
+    witnesses that are rendered as the report is written."""
     start = time.monotonic()
-    ct, det_A_nonzero, pieces = generic_det(support, p)
-    text_A, text_B = map("".join, zip(*pieces))
+    ct, det_A_nonzero, text_A, text_B = generic_det(support, p)
     return VerificationReport(
         statement="theorem-2.3/prop-2.11",
         passed=ct == 1,

@@ -21,3 +21,11 @@ class VerificationReport:
             "witnesses": self.witnesses,
             "seconds": round(self.seconds, 6),
         }
+
+
+class Text:
+    """A string as an iterator of its pieces, which cli._dump_json writes as
+    they come, never joined: a Text can be written once."""
+
+    def __init__(self, pieces):
+        self.pieces = iter(pieces)

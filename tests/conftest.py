@@ -1,6 +1,7 @@
 import pytest
 
 from hassewitt import SparseLaurentPoly, SupportSet
+from hassewitt.algebra import factorial_table, inverse_factorial_table
 from hassewitt.cli import PRESETS
 
 
@@ -16,6 +17,30 @@ def strip_seconds(obj):
     if isinstance(obj, list):
         return [strip_seconds(v) for v in obj]
     return obj
+
+
+def joined(text):
+    """The string that a reports.Text stands for, read from its pieces."""
+    return "".join(text.pieces)
+
+
+def multinomial_mod_p(e, p) -> int:
+    """(p-1)! / (e_1! ... e_N!) mod p, for e summing to p-1: the oracle for
+    the coefficients that the representation walk carries.
+
+    Every e_k < p, so each factorial is a unit mod p and the quotient is
+    (p-1)! times a product of entries of the inverse-factorial table.
+    """
+    e = tuple(e)
+    if min(e, default=0) < 0:
+        raise ValueError("negative entry in multinomial argument")
+    if sum(e) != p - 1:
+        raise ValueError(f"entries sum to {sum(e)}, expected p-1 = {p - 1}")
+    inv = inverse_factorial_table(p)
+    val = factorial_table(p)[p - 1]
+    for x in e:
+        val = val * inv[x] % p
+    return val
 
 
 def mono(exp, c=1, p=None):

@@ -18,11 +18,10 @@ from hassewitt.algebra import (
     find_irreducible,
     inverse_factorial_table,
     is_prime,
-    multinomial_mod_p,
     specialize,
 )
 
-from conftest import const, det_cofactor, mono, plus, zero
+from conftest import const, det_cofactor, mono, multinomial_mod_p, plus, zero
 
 P = SparseLaurentPoly
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hassewitt.algebra import multinomial_mod_p
 from hassewitt.geometry import (
     SupportSet,
     convex_combination_certificate,
@@ -22,7 +21,7 @@ from hassewitt.geometry import (
     representation_coefficients,
 )
 
-from conftest import support_from_preset
+from conftest import multinomial_mod_p, support_from_preset
 
 HESSE_RAW = [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)]
 FERMAT_RAW = [(3, 0, 0), (0, 3, 0), (0, 0, 3)]
