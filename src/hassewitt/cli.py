@@ -38,7 +38,7 @@ from .hypergeometric import (
     series_Gi,
     verify_truncation_identity,
 )
-from .reports import Text
+from .reports import Text, timed
 from .suites import SUITE_NAMES, oracle_equivalence, run_suites
 
 
@@ -372,7 +372,7 @@ def cmd_trunc(args, cfg, support):
             f"with -l_i up to p, got depth {depth}"
         )
     truncated = rho_truncation(series_Gi(support, i, depth), j, p)
-    report = verify_truncation_identity(support, i, j, p, truncated)
+    report = timed(verify_truncation_identity, support, i, j, p, truncated)
     _emit(
         {
             "i": i + 1,
@@ -402,8 +402,8 @@ def cmd_oracle(args, cfg, support):
     point = None
     if cfg.get("lambda") is not None:
         point, _ = parse_lambda(cfg, support)
-    report = oracle_equivalence(
-        support, cfg["p"], cfg["a"], point=point, seed=cfg["seed"]
+    report = timed(
+        oracle_equivalence, support, cfg["p"], cfg["a"], point=point, seed=cfg["seed"]
     )
     _emit({"report": report.to_dict()}, args.out)
     return 0 if report.passed else 1

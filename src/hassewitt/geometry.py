@@ -15,7 +15,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import factorial_table, inverse_factorial_table
 
@@ -320,31 +319,6 @@ def in_Li(lifted, i, l):
     if l[i] > 0:
         return False
     return all(x >= 0 for k, x in enumerate(l) if k != i)
-
-
-def convex_combination_certificate(lifted, i, l):
-    """Exact-rational check that a nonzero element of L_i expresses
-    lifted[i] as a convex combination of the lifted vectors with positive
-    coefficient: the weights -l_k/l_i are nonnegative and sum to 1, and the
-    weighted sum reproduces lifted[i].
-    """
-    if l[i] >= 0:
-        raise ValueError("certificate needs l_i < 0")
-    weights = {
-        k: Fraction(-l[k], l[i]) for k in range(len(l)) if k != i and l[k]
-    }
-    if any(w < 0 for w in weights.values()):
-        return False
-    if sum(weights.values(), Fraction(0)) != 1:
-        return False
-    m = len(lifted[0])
-    for coord in range(m):
-        s = sum(
-            (w * lifted[k][coord] for k, w in weights.items()), Fraction(0)
-        )
-        if s != lifted[i][coord]:
-            return False
-    return True
 
 
 def enumerate_box_relations(lifted):

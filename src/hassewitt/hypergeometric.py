@@ -12,7 +12,6 @@ every exponent coordinate.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -198,7 +197,7 @@ def verify_hypergeometric_solution(
     mode="mod-p",
     *,
     floor=None,
-) -> VerificationReport:
+):
     """Check that f is annihilated by all homogeneity operators with the
     given parameter and by the box operator of every supplied relation.
 
@@ -214,9 +213,8 @@ def verify_hypergeometric_solution(
     mode also records that all coefficients are exact integers.
 
     Every relation is validated, once per (lifted, relations) pair, applied
-    and counted.
+    and counted.  Returns (passed, witnesses).
     """
-    start = time.monotonic()
     if mode not in ("mod-p", "exact-integer"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "mod-p" and f.modulus is None:
@@ -254,12 +252,7 @@ def verify_hypergeometric_solution(
             isinstance(c, int) for c in f.terms.values()
         )
         passed = passed and witnesses["integer_coefficients"]
-    return VerificationReport(
-        statement="hypergeometric-solution",
-        passed=passed,
-        witnesses=witnesses,
-        seconds=time.monotonic() - start,
-    )
+    return passed, witnesses
 
 
 @lru_cache(maxsize=1)
@@ -291,7 +284,6 @@ def verify_truncation_identity(support: SupportSet, i, j, p, truncated) -> Verif
     Both signs are tried and the matching one(s) recorded; the sign is data,
     not an assumption (for p = 2 the two candidates coincide).
     """
-    start = time.monotonic()
     if not (0 <= i < support.m and 0 <= j < support.m):
         raise ValueError(f"({i}, {j}) are not interior-monomial indices")
     u = support.exponents[i]
@@ -316,5 +308,4 @@ def verify_truncation_identity(support: SupportSet, i, j, p, truncated) -> Verif
             "entry": lhs.canonical_str(),
             "rhs_unsigned": rhs.canonical_str(),
         },
-        seconds=time.monotonic() - start,
     )

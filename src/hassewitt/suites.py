@@ -10,14 +10,13 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-import time
 
 from .algebra import ExtensionField
 from .geometry import (
     SupportSet,
-    convex_combination_certificate,
     enumerate_Li,
     enumerate_box_relations,
+    in_Li,
 )
 from .hasse_witt import (
     HypothesisViolation,
@@ -38,9 +37,7 @@ from .hypergeometric import (
     verify_hypergeometric_solution,
     verify_truncation_identity,
 )
-from .reports import VerificationReport
-
-SUITE_NAMES = ("2.7", "2.8", "2.9", "2.11", "3.4", "3.7", "3.8", "3.11")
+from .reports import VerificationReport, timed
 
 PROP_2_9_FULL_LIMIT = 10**5
 PROP_2_9_SAMPLE = 10**4
@@ -73,7 +70,6 @@ def _require_interior_monomial(support: SupportSet, statement):
 
 
 def suite_2_7(support: SupportSet, p, **_):
-    start = time.monotonic()
     B = scaled_matrix(symbolic_matrix(support, p))
     bad = lemma_2_7_violations(support, B.entries)
     monomials = sum(len(poly.terms) for row in B.entries for poly in row)
@@ -81,29 +77,27 @@ def suite_2_7(support: SupportSet, p, **_):
         statement="lemma-2.7",
         passed=not bad,
         witnesses={"p": p, "monomials_checked": monomials, "violations": bad},
-        seconds=time.monotonic() - start,
     )
 
 
 def suite_2_8(support: SupportSet, p, **_):
-    start = time.monotonic()
     B = scaled_matrix(symbolic_matrix(support, p))
     bad = lemma_2_8_violations(B.entries)
     return VerificationReport(
         statement="lemma-2.8",
         passed=not bad,
         witnesses={"p": p, "entries_checked": len(B.entries) ** 2, "violations": bad},
-        seconds=time.monotonic() - start,
     )
 
 
 def suite_2_9(support: SupportSet, p, depth=None, seed=0, **_):
     """Brute-force check that depth-bounded elements of L_1 x ... x L_M sum
-    to zero only at the all-zero tuple; also runs the exact convex-
-    combination certificate on every nonzero element encountered.
+    to zero only at the all-zero tuple, and that every nonzero enumerated
+    l is in L_i: l_i < 0 <= l_k (k != i) and sum_k l_k * lifted[k] = 0,
+    which says that lifted[i] is the convex combination of the other
+    lifted columns with weights -l_k/l_i.
     """
     _require_interior_monomial(support, "prop-2.9")
-    start = time.monotonic()
     if depth is None:
         depth = p
     lifted = support.lifted
@@ -115,7 +109,7 @@ def suite_2_9(support: SupportSet, p, depth=None, seed=0, **_):
     cert_bad = []
     for i, elems in enumerate(sets):
         for l in elems:
-            if any(l) and not convex_combination_certificate(lifted, i, l):
+            if any(l) and not in_Li(lifted, i, l):
                 cert_bad.append((i, l))
     bad_tuples = []
     if total <= PROP_2_9_FULL_LIMIT:
@@ -152,14 +146,11 @@ def suite_2_9(support: SupportSet, p, depth=None, seed=0, **_):
             "counterexamples": bad_tuples,
             "certificate_failures": cert_bad,
         },
-        seconds=time.monotonic() - start,
     )
 
 
 def suite_2_11(support: SupportSet, p, **_):
-    report = generic_det_check(support, p)
-    report.statement = "prop-2.11"
-    return report
+    return generic_det_check(support, p)
 
 
 def suite_3_4(support: SupportSet, p, depth=None, **_):
@@ -169,7 +160,6 @@ def suite_3_4(support: SupportSet, p, depth=None, **_):
     truncation floor (see verify_hypergeometric_solution).
     """
     _require_interior_monomial(support, "prop-3.4")
-    start = time.monotonic()
     if depth is None:
         depth = p
     lifted = support.lifted
@@ -180,7 +170,7 @@ def suite_3_4(support: SupportSet, p, depth=None, **_):
         for j in range(support.m):
             series = derivative_series(gi, j)
             beta = tuple(-x for x in lifted[j])
-            rep = verify_hypergeometric_solution(
+            passed, detail = verify_hypergeometric_solution(
                 series.poly,
                 beta,
                 relations,
@@ -188,8 +178,8 @@ def suite_3_4(support: SupportSet, p, depth=None, **_):
                 mode="exact-integer",
                 floor=(i, -(depth + (i == j))),
             )
-            if not rep.passed:
-                failures.append({"i": i + 1, "j": j + 1, "detail": rep.witnesses})
+            if not passed:
+                failures.append({"i": i + 1, "j": j + 1, "detail": detail})
     return VerificationReport(
         statement="prop-3.4",
         passed=not failures,
@@ -200,7 +190,6 @@ def suite_3_4(support: SupportSet, p, depth=None, **_):
             "relation_coverage": _relation_coverage(relations, support.N, p),
             "failures": failures,
         },
-        seconds=time.monotonic() - start,
     )
 
 
@@ -211,7 +200,6 @@ def suite_3_7(support: SupportSet, p, seed=0, **_):
     is exercised separately on random polynomials by the test suite.
     """
     _require_interior_monomial(support, "lemma-3.7")
-    start = time.monotonic()
     lifted = support.lifted
     N = support.N
     relations = _box_relations(support)
@@ -231,13 +219,13 @@ def suite_3_7(support: SupportSet, p, seed=0, **_):
             beta = tuple(-x for x in lifted[j])
             for r in windows:
                 truncated = trunc(r, series, p)
-                rep = verify_hypergeometric_solution(
+                passed, detail = verify_hypergeometric_solution(
                     truncated, beta, relations, lifted, mode="mod-p"
                 )
                 windows_checked += 1
-                if not rep.passed:
+                if not passed:
                     failures.append(
-                        {"i": i + 1, "j": j + 1, "window": list(r), "detail": rep.witnesses}
+                        {"i": i + 1, "j": j + 1, "window": list(r), "detail": detail}
                     )
     return VerificationReport(
         statement="lemma-3.7",
@@ -249,7 +237,6 @@ def suite_3_7(support: SupportSet, p, seed=0, **_):
             "relation_coverage": _relation_coverage(relations, support.N, p),
             "failures": failures,
         },
-        seconds=time.monotonic() - start,
     )
 
 
@@ -258,7 +245,6 @@ def suite_3_8(support: SupportSet, p, **_):
     the derivative series; passes when every entry matches and one common
     sign works for all of them."""
     _require_interior_monomial(support, "prop-3.8")
-    start = time.monotonic()
     per_entry = []
     common = {"+", "-"}
     all_match = True
@@ -276,7 +262,6 @@ def suite_3_8(support: SupportSet, p, **_):
         statement="prop-3.8",
         passed=passed,
         witnesses={"p": p, "sign": sign, "entries": per_entry},
-        seconds=time.monotonic() - start,
     )
 
 
@@ -284,7 +269,6 @@ def suite_3_11(support: SupportSet, p, **_):
     """Every Hasse-Witt entry mod p is annihilated by the box operators of
     the Markov moves and by the homogeneity operators with the exact
     parameter p*u+ - v+ (congruent to the negated lifted column mod p)."""
-    start = time.monotonic()
     lifted = support.lifted
     relations = _box_relations(support)
     A = symbolic_matrix(support, p)
@@ -294,11 +278,11 @@ def suite_3_11(support: SupportSet, p, **_):
             up = tuple(u) + (1,)
             vp = tuple(v) + (1,)
             beta = tuple(p * a - b for a, b in zip(up, vp))
-            rep = verify_hypergeometric_solution(
+            passed, detail = verify_hypergeometric_solution(
                 A.entries[i][j], beta, relations, lifted, mode="mod-p"
             )
-            if not rep.passed:
-                failures.append({"i": i + 1, "j": j + 1, "detail": rep.witnesses})
+            if not passed:
+                failures.append({"i": i + 1, "j": j + 1, "detail": detail})
     return VerificationReport(
         statement="cor-3.11",
         passed=not failures,
@@ -309,14 +293,12 @@ def suite_3_11(support: SupportSet, p, **_):
             "relation_coverage": _relation_coverage(relations, support.N, p),
             "failures": failures,
         },
-        seconds=time.monotonic() - start,
     )
 
 
 def oracle_equivalence(support: SupportSet, p, a=1, point=None, seed=0):
     """Cross-check symbolic evaluation against the dense-expansion oracle at
     one specialization point (random when not supplied)."""
-    start = time.monotonic()
     field = ExtensionField(p, a)
     rng = random.Random(seed)
     if point is None:
@@ -340,7 +322,6 @@ def oracle_equivalence(support: SupportSet, p, a=1, point=None, seed=0):
             "entries_checked": len(A.labels) ** 2,
             "mismatches": mism,
         },
-        seconds=time.monotonic() - start,
     )
 
 
@@ -354,12 +335,14 @@ _SUITES = {
     "3.8": suite_3_8,
     "3.11": suite_3_11,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(support: SupportSet, p, which="all", **options):
-    """Run one suite or all of them, in canonical id order."""
+    """Run one suite or all of them, in canonical id order, each timed by
+    reports.timed."""
     names = SUITE_NAMES if which == "all" else (which,)
     unknown = [nm for nm in names if nm not in _SUITES]
     if unknown:
         raise ValueError(f"unknown suite(s): {unknown}")
-    return [_SUITES[nm](support, p, **options) for nm in names]
+    return [timed(_SUITES[nm], support, p, **options) for nm in names]

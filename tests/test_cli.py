@@ -538,6 +538,28 @@ def test_bench_tracer_runs_the_commands_whose_values_it_spans(tmp_path, argv, sp
     assert calls > 0
 
 
+def test_bench_oracle_agrees_with_the_sweep(tmp_path, capsys):
+    """The benchmark's dense-oracle check of a sweep (hesse-cubic over
+    GF(25), k = 4) passes oracle_equivalence and gives the ranks that
+    hw-eval --sweep prints, at one value of rank 0 and one of rank 1."""
+    config = write_config(tmp_path, a=2, **{"lambda": ["1,1", "1,0", "0,1", "1,0"]})
+    code, out, _ = run_cli(capsys, "hw-eval", "--config", config, "--sweep", "k=4")
+    assert code == 0
+    swept = {}
+    for line in out.splitlines()[1:]:
+        value, rank = line.rsplit(",", 1)
+        swept.setdefault(int(rank), value)
+    values = [swept[0], swept[1]]
+    src = Path(hassewitt.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(src.parent / "bench" / "child.py"), "oracle", config, "4",
+         *values],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == {values[0]: 0, values[1]: 1}
+
+
 def test_extension_field_lambda(tmp_path, capsys):
     path = write_config(
         tmp_path, a=2, **{"lambda": ["1,1", "1,0", "0,1", "1,0"]}

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from hassewitt.geometry import (
     SupportSet,
-    convex_combination_certificate,
     enumerate_box_relations,
     enumerate_interior,
     enumerate_Li,
@@ -335,15 +334,6 @@ def test_Li_elements_are_valid(preset, request):
         for l in enumerate_Li(s.lifted, i, 4):
             assert in_Li(s.lifted, i, l)
             assert sum(l) == 0
-
-
-@pytest.mark.parametrize("preset", ["hesse", "quartic", "quintic"])
-def test_convex_certificate(preset, request):
-    s = request.getfixturevalue(preset)
-    for i in range(s.m):
-        for l in enumerate_Li(s.lifted, i, 4):
-            if any(l):
-                assert convex_combination_certificate(s.lifted, i, l)
 
 
 # -- Markov moves ------------------------------------------------------------------

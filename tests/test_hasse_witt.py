@@ -133,7 +133,7 @@ def test_lemma_2_7_and_2_8_hesse(hesse, p):
 
 def test_generic_det_hesse_p5(hesse):
     rep = generic_det_check(hesse, 5)
-    assert rep.passed
+    assert rep.statement == "prop-2.11" and rep.passed
     w = rep.witnesses
     assert w["det_B_constant_term"] == 1
     assert w["det_A_nonzero"] and "scaling_identity" not in w

@@ -55,11 +55,11 @@ def test_box_depth_one_solution():
     f = P(4, None, {(-1, 0, 0, 0): 1, (-4, 1, 1, 1): -6})
     got = box_apply(HESSE_REL, f)
     assert got == mono((-7, 1, 1, 1), -720)
-    rep = verify_hypergeometric_solution(
+    passed, _ = verify_hypergeometric_solution(
         f, (-1, -1, -1, -1), [HESSE_REL], _hesse_lifted(), mode="exact-integer",
         floor=(0, -4),  # depth 3, i = j: every term with s_1 >= -4 is present
     )
-    assert rep.passed
+    assert passed
 
 
 def _hesse_lifted():
@@ -285,20 +285,20 @@ def test_verify_entry_as_solution(hesse):
     entry = symbolic_entry(hesse, (1, 1, 1), (1, 1, 1), p)
     up = hesse.lifted[0]
     beta = tuple(p * a - b for a, b in zip(up, up))
-    rep = verify_hypergeometric_solution(
+    passed, _ = verify_hypergeometric_solution(
         entry, beta, [HESSE_REL], hesse.lifted, mode="mod-p"
     )
-    assert rep.passed
+    assert passed
 
 
 def test_verify_truncated_series_mod_p(hesse):
     p = 5
     ds = derivative_series(series_Gi(hesse, 0, p), 0).poly.reduce_mod(p)
     f = trunc(rho_window(4, 0), ds, p)
-    rep = verify_hypergeometric_solution(
+    passed, _ = verify_hypergeometric_solution(
         f, hesse_beta(hesse), [HESSE_REL], hesse.lifted, mode="mod-p"
     )
-    assert rep.passed
+    assert passed
 
 
 def test_verify_detects_corruption(hesse):
@@ -306,20 +306,20 @@ def test_verify_detects_corruption(hesse):
     ds = derivative_series(series_Gi(hesse, 0, p), 0).poly.reduce_mod(p)
     f = trunc(rho_window(4, 0), ds, p)
     corrupted = plus(f, mono((-1, 0, 0, 0), 1, p))
-    rep = verify_hypergeometric_solution(
+    passed, _ = verify_hypergeometric_solution(
         corrupted, hesse_beta(hesse), [HESSE_REL], hesse.lifted, mode="mod-p"
     )
-    assert not rep.passed
+    assert not passed
 
 
 def test_verify_exact_integer_mode(hesse):
     ds = derivative_series(series_Gi(hesse, 0, 5), 0)
-    rep = verify_hypergeometric_solution(
+    passed, witnesses = verify_hypergeometric_solution(
         ds.poly, hesse_beta(hesse), [HESSE_REL], hesse.lifted, mode="exact-integer",
         floor=(0, -6),
     )
-    assert rep.passed
-    assert rep.witnesses["integer_coefficients"]
+    assert passed
+    assert witnesses["integer_coefficients"]
 
 
 def test_verify_floor_is_exact_integer_only(hesse):
@@ -385,8 +385,8 @@ def test_verify_validates_each_relation_tuple_once(hesse, monkeypatch):
     f = const(4, 1, 5)
     good = (HESSE_REL, tuple(2 * x for x in HESSE_REL))
     for _ in range(3):
-        rep = verify_hypergeometric_solution(f, (0, 0, 0, 0), good, hesse.lifted)
-        assert rep.witnesses["relations_checked"] == 2
+        _, witnesses = verify_hypergeometric_solution(f, (0, 0, 0, 0), good, hesse.lifted)
+        assert witnesses["relations_checked"] == 2
     assert len(calls) == 2
     # a bad tuple raises on every call, also right after being rejected
     bad = good + ((1, 0, 0, 0),)
@@ -465,10 +465,12 @@ def test_box_failures_of_mutants_match_reference(preset, p):
     caught = 0
     for f, beta in cases:
         mutant = _mutant(rng, f, p)
-        rep = verify_hypergeometric_solution(mutant, beta, relations, lifted, mode="mod-p")
+        _, witnesses = verify_hypergeometric_solution(
+            mutant, beta, relations, lifted, mode="mod-p"
+        )
         reference = [list(l) for l in relations if not box_apply(l, mutant).is_zero]
-        assert rep.witnesses["box_failures"] == reference
-        assert rep.witnesses["relations_checked"] == len(relations)
+        assert witnesses["box_failures"] == reference
+        assert witnesses["relations_checked"] == len(relations)
         caught += bool(reference)
     assert caught  # the comparison covers nonempty failure lists
 
@@ -502,10 +504,10 @@ def test_box_operators_catch_every_seeded_mutant(preset, p, mutation):
     caught = 0
     for _ in range(40):
         f, beta = rng.choice(entries)
-        rep = verify_hypergeometric_solution(
+        _, witnesses = verify_hypergeometric_solution(
             mutate(rng, f, p), beta, relations, lifted, mode="mod-p"
         )
-        caught += bool(rep.witnesses["box_failures"])
+        caught += bool(witnesses["box_failures"])
     assert caught == 40
 
 

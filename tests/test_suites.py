@@ -1,0 +1,137 @@
+"""Suite-level behaviour: every suite fails on a seeded wrong input and names
+the mutated index, and every report is timed in one place."""
+
+import dataclasses
+
+import pytest
+
+from hassewitt import SparseLaurentPoly, hypergeometric, reports, suites
+from hassewitt.hypergeometric import rho_window
+
+# quartic-full at p = 3; the mutated entry is (i, j) = (2, 3), 1-based, which
+# holds three terms: flipping one coefficient mod 3 negates it, so the
+# mutant is neither the entry nor its negative
+PRESET_P = 3
+I, J = 1, 2
+
+
+def _flip(f):
+    """f with the coefficient of its first term negated."""
+    terms = dict(f.terms)
+    exp = min(terms)
+    terms[exp] = -terms[exp] % f.modulus
+    return SparseLaurentPoly(f.nvars, f.modulus, terms)
+
+
+def _outside_Li(monkeypatch, support, p):
+    # a nonzero element of L_1 handed to suite 2.9 as an element of L_2
+    real = suites.enumerate_Li
+    outsider = next(l for l in real(support.lifted, 0, p) if any(l))
+
+    def injected(lifted, i, depth):
+        return real(lifted, i, depth) + ([outsider] if i == I else [])
+
+    monkeypatch.setattr(suites, "enumerate_Li", injected)
+    return [(I, outsider)]
+
+
+def _truncation(monkeypatch, support, p):
+    # suite 3.7 truncates windows [rho, zero, random...] for each (i, j) in
+    # order; flip the rho-window truncation of (I, J)
+    real = suites.trunc
+    per_pair = 2 + suites.LEMMA_3_7_RANDOM_WINDOWS
+    target = (I * support.m + J) * per_pair
+    calls = []
+
+    def flipping(r, f, p):
+        calls.append(r)
+        out = real(r, f, p)
+        return _flip(out) if len(calls) - 1 == target else out
+
+    monkeypatch.setattr(suites, "trunc", flipping)
+    return [(I + 1, J + 1, list(rho_window(support.N, I)))]
+
+
+def _truncation_identity_entry(monkeypatch, support, p):
+    real = hypergeometric.symbolic_entry
+    target = (support.exponents[I], support.exponents[J])
+
+    def flipping(support, u, v, p):
+        out = real(support, u, v, p)
+        return _flip(out) if (tuple(u), tuple(v)) == target else out
+
+    monkeypatch.setattr(hypergeometric, "symbolic_entry", flipping)
+    return [(I + 1, J + 1)]
+
+
+def _matrix_entry(monkeypatch, support, p):
+    A = suites.symbolic_matrix(support, p)
+    rows = [list(row) for row in A.entries]
+    rows[I][J] = _flip(rows[I][J])
+    mutant = dataclasses.replace(A, entries=tuple(map(tuple, rows)))
+    monkeypatch.setattr(suites, "symbolic_matrix", lambda support, p: mutant)
+    return [(I + 1, J + 1)]
+
+
+def _oracle_coefficient(monkeypatch, support, p):
+    real = suites.oracle_dense_coefficient
+    target = (support.exponents[I], support.exponents[J])
+
+    def wrong(support, point, p, u, v, field):
+        out = real(support, point, p, u, v, field)
+        return out + field.one() if (tuple(u), tuple(v)) == target else out
+
+    monkeypatch.setattr(suites, "oracle_dense_coefficient", wrong)
+    return [(I, J)]
+
+
+# suite -> (mutation, the indices a failing report names)
+MUTATIONS = {
+    "2.9": (_outside_Li, lambda w: w["certificate_failures"]),
+    "3.7": (_truncation, lambda w: [(f["i"], f["j"], f["window"]) for f in w["failures"]]),
+    "3.8": (
+        _truncation_identity_entry,
+        lambda w: [(e["i"], e["j"]) for e in w["entries"] if not e["signs"]],
+    ),
+    "3.11": (_matrix_entry, lambda w: [(f["i"], f["j"]) for f in w["failures"]]),
+    "oracle-eq": (_oracle_coefficient, lambda w: w["mismatches"]),
+}
+
+
+def _run(support, suite):
+    if suite == "oracle-eq":
+        return suites.oracle_equivalence(support, PRESET_P)
+    (report,) = suites.run_suites(support, PRESET_P, suite)
+    return report
+
+
+@pytest.mark.parametrize("suite", sorted(MUTATIONS))
+def test_suites_name_a_seeded_mutant(quartic, monkeypatch, suite):
+    assert _run(quartic, suite).passed
+    mutate, culprits = MUTATIONS[suite]
+    expected = mutate(monkeypatch, quartic, PRESET_P)
+    report = _run(quartic, suite)
+    assert not report.passed
+    assert culprits(report.witnesses) == expected
+
+
+def test_timed_sets_seconds_from_one_clock(monkeypatch):
+    ticks = iter([10.0, 12.5])
+    monkeypatch.setattr(reports.time, "monotonic", lambda: next(ticks))
+    seen = []
+
+    def check(*args, **kwargs):
+        seen.append((args, kwargs))
+        return reports.VerificationReport(statement="s", passed=True, seconds=99.0)
+
+    report = reports.timed(check, 1, 2, k=3)
+    assert seen == [((1, 2), {"k": 3})]
+    assert report.seconds == 2.5
+    assert report.to_dict()["seconds"] == 2.5
+
+
+def test_run_suites_times_every_suite(hesse, monkeypatch):
+    clock = iter(range(100))
+    monkeypatch.setattr(reports.time, "monotonic", lambda: next(clock))
+    reps = suites.run_suites(hesse, 5)
+    assert [r.seconds for r in reps] == [1] * len(suites.SUITE_NAMES)
