@@ -15,6 +15,7 @@ from .geometry import (
     enumerate_representations,
     kernel_basis,
     representation_coefficients,
+    representation_terms,
 )
 from .hasse_witt import (
     HypothesisViolation,
@@ -23,6 +24,7 @@ from .hasse_witt import (
     oracle_dense_coefficient,
     scaled_matrix,
     symbolic_entry,
+    symbolic_entry_text,
     symbolic_matrix,
 )
 from .hypergeometric import (
@@ -57,11 +59,13 @@ __all__ = [
     "kernel_basis",
     "oracle_dense_coefficient",
     "representation_coefficients",
+    "representation_terms",
     "rho_truncation",
     "run_suites",
     "scaled_matrix",
     "series_Gi",
     "symbolic_entry",
+    "symbolic_entry_text",
     "symbolic_matrix",
     "trunc",
     "verify_hypergeometric_solution",

@@ -162,11 +162,17 @@ class SparseLaurentPoly:
         """Canonical text form ``c*L1^e1*...*LN^eN + ...``, lex term order."""
         if self.is_zero:
             return "0"
-        template = "*".join(["%s"] + [f"L{k + 1}^%d" for k in range(self.nvars)])
+        template = "%s" + "".join(map(power_format, range(self.nvars)))
         return " + ".join(template % (c, *exp) for exp, c in self.sorted_terms())
 
     def __repr__(self):
         return f"<SparseLaurentPoly {self.canonical_str()} (mod {self.modulus})>"
+
+
+def power_format(k):
+    """The %-format, of its exponent, of the factor L_{k+1}^e that follows
+    a coefficient in a term's canonical text: the one spelling of a power."""
+    return f"*L{k + 1}^%d"
 
 
 def canonical_pieces(poly, shifts):
@@ -197,8 +203,8 @@ def _canonical_pieces(terms, shifts, h):
     # the next coefficient: the glue, the same for every shift, so that a
     # run's piece is its glues joined by its head's text.
     nvars = len(terms[0][0])
-    head_format = "".join(f"*L{k + 1}^%d" for k in range(h))
-    tail_format = "".join(f"*L{k + 1}^%d" for k in range(h, nvars))
+    head_format = "".join(map(power_format, range(h)))
+    tail_format = "".join(map(power_format, range(h, nvars)))
     glue_format = tail_format + " + %s"
 
     def pieces(head, glues):

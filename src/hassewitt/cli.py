@@ -29,7 +29,7 @@ from .hasse_witt import (
     generic_det,
     matrix_rank,
     sweep_ranks,
-    symbolic_entry,
+    symbolic_entry_text,
     symbolic_matrix,
 )
 from .hypergeometric import (
@@ -170,55 +170,67 @@ def parse_lambda(cfg, support: SupportSet):
 def _dump_json(payload, fh):
     """Write what ``json.dump(payload, fh, indent=2, sort_keys=True)`` and a
     newline write (for string keys), consuming a reports.Text as one string
-    and any other Iterator as a list as they are written.  Layout and small
-    values are held, up to io.DEFAULT_BUFFER_SIZE, until a value from a Text
-    or an Iterator arrives: nothing is written before that value is
-    computed.  It, or a larger value, is written on its own, not joined."""
+    and any other Iterator as a list as they are written.  Pieces are held,
+    up to io.DEFAULT_BUFFER_SIZE, and written when they outgrow it and at
+    the end of each value read from a Text or an Iterator: nothing is
+    written before the first such value is computed, and each is written
+    before the next is computed.  A larger piece is written on its own, not
+    joined."""
+    size = io.DEFAULT_BUFFER_SIZE
     held = io.StringIO()
-    for chunk, lazy in _json_chunks(payload, "\n"):
-        alone = lazy or len(chunk) > io.DEFAULT_BUFFER_SIZE
-        if not alone:
-            held.write(chunk)
-        if alone or held.tell() > io.DEFAULT_BUFFER_SIZE:
+    for pieces, lazy in _json_chunks(payload, "\n"):
+        for piece in pieces:
+            if len(piece) > size:
+                fh.write(held.getvalue())
+                fh.write(piece)
+                held = io.StringIO()
+            else:
+                held.write(piece)
+                if held.tell() > size:
+                    fh.write(held.getvalue())
+                    held = io.StringIO()
+            del piece  # a piece is not kept while the next is computed
+        if lazy and held.tell():
             fh.write(held.getvalue())
             held = io.StringIO()
-        if alone:
-            fh.write(chunk)
-        del chunk  # an entry's text is not kept while the next is computed
     fh.write(held.getvalue() + "\n")
 
 
 def _json_chunks(value, newline):
-    """(text, lazy) pairs that make up ``value`` in _dump_json's layout from
-    indentation ``newline`` on; lazy marks a value read from a Text or an
-    Iterator.  Such a string is escaped, and its raw text dropped, first."""
+    """(pieces, lazy) pairs that make up ``value`` in _dump_json's layout
+    from indentation ``newline`` on: a tuple of layout and values, or, where
+    lazy, the pieces of a value read from a Text or an Iterator, escaped as
+    they come and each with its raw text dropped first."""
     inner = newline + "  "
     if isinstance(value, Text):
-        yield '"', False
-        for piece in value.pieces:
-            yield encode_basestring_ascii(piece)[1:-1], True
-        yield '"', False
+        yield ('"',), False
+        yield map(_escape_piece, value.pieces), True
+        yield ('"',), False
     elif isinstance(value, dict):
         separator = "{" + inner
         for key in sorted(value):
-            yield separator + encode_basestring_ascii(key) + ": ", False
+            yield (separator + encode_basestring_ascii(key) + ": ",), False
             yield from _json_chunks(value[key], inner)
             separator = "," + inner
-        yield newline + "}" if value else "{}", False
+        yield (newline + "}" if value else "{}",), False
     elif isinstance(value, (list, tuple, Iterator)):
         separator = "[" + inner
         for item in value:
-            yield separator, False
+            yield (separator,), False
             separator = "," + inner
             if isinstance(value, Iterator) and isinstance(item, str):
-                item = encode_basestring_ascii(item)
+                item = (encode_basestring_ascii(item),)
                 yield item, True
                 del item
             else:
                 yield from _json_chunks(item, inner)
-        yield newline + "]" if separator[0] == "," else "[]", False
+        yield (newline + "]" if separator[0] == "," else "[]",), False
     else:
-        yield json.dumps(value), False
+        yield (json.dumps(value),), False
+
+
+def _escape_piece(piece):
+    return encode_basestring_ascii(piece)[1:-1]
 
 
 def _dump_lines(lines, fh):
@@ -257,9 +269,7 @@ def cmd_hw_symbolic(args, cfg, support):
     # each entry is computed, written and dropped before the next
     p = cfg["p"]
     labels = support.interior_set()
-    matrix = (
-        (symbolic_entry(support, u, v, p).canonical_str() for v in labels) for u in labels
-    )
+    matrix = ((symbolic_entry_text(support, u, v, p) for v in labels) for u in labels)
     names = ["".join(map(str, u)) for u in labels]
     _emit({"labels": names, "matrix": matrix, "p": p}, args.out)
     return 0

@@ -109,37 +109,49 @@ class SupportSet:
 
 def enumerate_representations(lifted, target):
     """All e in N^N with sum_k e_k * lifted[k] = target, lex-ascending in e."""
-    # with every weight 1, each value of the walk is 1 and only its keys count
-    return list(_walk(lifted, target, [1] * (max(target, default=0) + 1), 2, 1))
+    # with every weight 1, each value of the walk is 1 and only its labels count
+    unit = [1] * (max(target, default=0) + 1)
+    return [e for e, _ in _walk(lifted, target, _coordinate, unit, 2, 1)]
 
 
 def representation_coefficients(lifted, target, p):
     """{e: (p-1)! / (e_0! ... e_{N-1}!) mod p} over the e of
     enumerate_representations(lifted, target), in the same lex order, for a
-    target whose last coordinate is p - 1 (so every e sums to p - 1).
+    target whose last coordinate is p - 1 (so every e sums to p - 1)."""
+    return dict(representation_terms(lifted, target, p, _coordinate))
 
-    The walk carries the coefficient of each prefix e_0..e_{k-1} of its
-    path, so every edge costs one multiplication by 1/e_k! and paths that
-    share a prefix share its product.
+
+def representation_terms(lifted, target, p, letter):
+    """The terms of representation_coefficients(lifted, target, p) as an
+    iterator of (label, coefficient) pairs in the same order, where the label
+    of e is letter(0, e_0) + ... + letter(N-1, e_{N-1}): a str or a tuple.
     """
     target = tuple(target)
     if not target or target[-1] != p - 1:
         raise ValueError(f"target {target} does not end in p - 1 = {p - 1}")
     return _walk(
-        lifted, target, inverse_factorial_table(p), p, factorial_table(p)[p - 1]
+        lifted, target, letter, inverse_factorial_table(p), p,
+        factorial_table(p)[p - 1],
     )
 
 
-def _walk(lifted, target, weight, modulus, root):
-    """{e: root * weight[e_0] * ... * weight[e_{N-1}] % modulus} over all e
-    in N^N with sum_k e_k * lifted[k] = target, lex-ascending in e.
+def _coordinate(k, e):
+    return (e,)
+
+
+def _walk(lifted, target, letter, weight, modulus, root):
+    """An iterator of (letter(0, e_0) + ... + letter(N-1, e_{N-1}),
+    root * weight[e_0] * ... * weight[e_{N-1}] % modulus) over all e in N^N
+    with sum_k e_k * lifted[k] = target, lex-ascending in e.
 
     Every lifted vector is nonnegative with last coordinate 1, so the last
     target coordinate bounds the total of the e_k, and weight needs an entry
-    for each value up to it; weight[0] must be 1.  The depth-first search
-    expands only the live edges of _live_edges, so it never dead-ends; it
-    keeps the product for each prefix of its path on a stack next to the
-    prefix itself.
+    for each value up to it.  The walk expands only the live edges of
+    _live_edges, so it never dead-ends.  Its levels from the
+    cut of _cut on are a memo, built once (_tails); a depth-first search
+    above the cut (_descend) shares each prefix's label and product among
+    the paths through it, and emits each term as its prefix's term times
+    one tail of the memo: one concatenation and one multiplication.
     """
     lifted = [tuple(v) for v in lifted]
     target = tuple(target)
@@ -147,44 +159,84 @@ def _walk(lifted, target, weight, modulus, root):
     for v in lifted:
         if len(v) != len(target) or v[-1] != 1 or min(v) < 0:
             raise ValueError(f"{v} is not a lifted exponent vector for {target}")
+    empty = letter(0, 0)[:0]  # the label of the empty e: "" or ()
     if min(target, default=0) < 0:
-        return {}
+        return iter(())
     if not N:
         # no column to walk: the empty e reaches only the zero target
-        return {} if any(target) else {(): root}
+        return iter(() if any(target) else [(empty, root)])
     walk = _live_edges(lifted, target)
     if walk is None:
-        return {}
-    live, start, zero = walk
-    # from the zero residual only e = 0 remains, of weight 1, so a result is
-    # complete as soon as its residual reaches 0
-    out = {}
-    acc = [0] * N
-    prod = [root] * N  # prod[k]: root times the weights of e_0..e_{k-1}
+        return iter(())
+    live, sizes, start, zero = walk
+    letters = [[letter(k, e) for e in range(target[-1] + 1)] for k in range(N)]
+    cut = _cut(sizes)
+    tails = _tails(live, {zero: [(empty, 1)]}, cut, letters, weight, modulus)
+    return _descend(live, start, cut, tails, letters, weight, modulus, (empty, root))
+
+
+def _cut(sizes):
+    """The shallowest level k >= 1 at which the tails of the nodes on
+    levels k..N-1, the memo that _tails builds, number no more than the
+    terms; sizes[k] counts the tails of level k, so sizes[0] is the number
+    of terms.  Level N always qualifies, with no memo, and level 1 only
+    when N <= 2, since sizes[1] = sizes[0]."""
+    held = 0
+    for k in reversed(range(1, len(sizes))):
+        held += sizes[k]
+        if held > sizes[0]:
+            return k + 1
+    return 1
+
+
+def _tails(live, tails, cut, letters, weight, modulus):
+    """{residual: [(label, product of weights mod modulus)]} for every live
+    node on level ``cut``: its completions e_cut..e_{N-1}, lex-ascending.
+    Built bottom-up from ``tails``, those of level N, each level from the
+    one below, which is then dropped."""
+    for k in reversed(range(cut, len(live))):
+        letter = letters[k]
+        tails = {
+            r: [
+                (letter[e] + label, weight[e] * c % modulus)
+                for e, s in edges
+                for label, c in tails[s]
+            ]
+            for r, edges in live[k].items()
+        }
+    return tails
+
+
+def _descend(live, start, cut, tails, letters, weight, modulus, root):
+    """The walk's terms, from the levels above ``cut`` and the ``tails`` of
+    level cut; root is the (label, product) of the empty prefix."""
+    prefix = [root] * cut  # prefix[k]: the label and product of e_0..e_{k-1}
     stack = [iter(live[0][start])]
     k = 0
+    last = cut - 1
     while True:
+        label, c = prefix[k]
         for e, s in stack[k]:
-            acc[k] = e
-            c = prod[k] * weight[e] % modulus
-            if s == zero:
-                out[tuple(acc)] = c
+            head = label + letters[k][e]
+            c_head = c * weight[e] % modulus
+            if k == last:
+                for tail, w in tails[s]:
+                    yield head + tail, c_head * w % modulus
             else:
                 k += 1
-                prod[k] = c
+                prefix[k] = head, c_head
                 stack.append(iter(live[k][s]))
                 break
         else:
-            acc[k] = 0
             stack.pop()
             if not k:
-                return out
+                return
             k -= 1
 
 
 def _live_edges(lifted, target):
-    """(live, start, zero) for the walk to the nonnegative ``target``, or
-    None when no e reaches it.
+    """(live, sizes, start, zero) for the walk to the nonnegative
+    ``target``, or None when no e reaches it.
 
     The residual target - sum_{j<k} e_j * lifted[j] is packed into one int,
     one field per coordinate with a guard bit on top, so subtracting a
@@ -193,7 +245,9 @@ def _live_edges(lifted, target):
     zero residual.  A forward pass collects the residuals reachable after
     each prefix of columns and a backward pass keeps those from which 0 is
     reachable: live[k] maps each such residual at level k to its edges
-    [(e_k, next residual)].
+    [(e_k, next residual)].  The backward pass also counts each node's
+    completions, and sizes[k] (k < N) is their total over level k: sizes[0]
+    is the number of e.
     """
     N = len(lifted)
     # a field holds any target or column entry, with the guard bit above it;
@@ -213,24 +267,32 @@ def _live_edges(lifted, target):
                 nxt.add(r)
                 r -= col
         reach.append(nxt)
+    if zero not in reach[N]:
+        return None
     live = [None] * N
-    alive = {zero} & reach[N]
+    sizes = [0] * N
+    counts = {zero: 1}  # completions of each live residual on level k + 1
     for k in reversed(range(N)):
         col = cols[k]
         level = {}
+        level_counts = {}
         for r in reach[k]:
             edges = []
+            n = 0
             e, s = 0, r
             while s & guards == guards:
-                if s in alive:
+                if s in counts:
                     edges.append((e, s))
+                    n += counts[s]
                 e += 1
                 s -= col
             if edges:
                 level[r] = edges
+                level_counts[r] = n
         live[k] = level
-        alive = level.keys()
-    return (live, start, zero) if start in alive else None
+        sizes[k] = sum(level_counts.values())
+        counts = level_counts
+    return (live, sizes, start, zero) if start in counts else None
 
 
 def _pack(vec, shift):

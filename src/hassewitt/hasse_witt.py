@@ -20,12 +20,14 @@ from .algebra import (
     canonical_pieces,
     det_leibniz,
     evaluate_laurent,
+    power_format,
     specialize,
 )
 from .geometry import (
     SupportSet,
     in_Li,
     representation_coefficients,
+    representation_terms,
 )
 from .reports import Text, VerificationReport
 
@@ -49,12 +51,35 @@ def symbolic_entry(support: SupportSet, u, v, p) -> SparseLaurentPoly:
     indeterminate coefficients.  Defined for any u, v in the interior set,
     whether or not they belong to the support.
     """
-    u = tuple(u)
-    v = tuple(v)
-    target = tuple(p * a - b for a, b in zip(u + (1,), v + (1,)))
     return SparseLaurentPoly(
-        support.N, p, representation_coefficients(support.lifted, target, p)
+        support.N, p, representation_coefficients(support.lifted, _target(u, v, p), p)
     )
+
+
+def symbolic_entry_text(support: SupportSet, u, v, p) -> Text:
+    """symbolic_entry(support, u, v, p).canonical_str() as a Text, with no
+    polynomial: the representation walk runs as the Text is read, and each
+    term's text is its coefficient and its walk label, one piece per term.
+    """
+    return Text(_entry_pieces(support.lifted, _target(u, v, p), p))
+
+
+def _entry_pieces(lifted, target, p):
+    separator = ""
+    for label, c in representation_terms(lifted, target, p, _power_text):
+        yield f"{separator}{c}{label}"
+        separator = " + "
+    if not separator:
+        yield "0"
+
+
+def _power_text(k, e):
+    return power_format(k) % e
+
+
+def _target(u, v, p):
+    """The lifted target p*u+ - v+ of entry (u, v)."""
+    return tuple(p * a - b for a, b in zip((*u, 1), (*v, 1)))
 
 
 @dataclass(frozen=True)

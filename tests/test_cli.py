@@ -239,7 +239,7 @@ def test_unwritable_out_exit_2_before_computing(tmp_path, capsys, monkeypatch, w
         raise AssertionError("the matrix was computed before --out was checked")
 
     monkeypatch.setattr(cli, "symbolic_matrix", computed)
-    monkeypatch.setattr(cli, "symbolic_entry", computed)
+    monkeypatch.setattr(cli, "symbolic_entry_text", computed)
     target = tmp_path / "missing" / "report.json" if where == "missing-directory" else tmp_path
     code, out, err = run_cli(
         capsys, "hw-symbolic", "--preset", "hesse-cubic", "--out", str(target)
@@ -295,14 +295,14 @@ def test_closed_stdout_exit_141_and_devnull(capsys, monkeypatch):
 
 def test_hw_symbolic_writes_each_entry_before_computing_the_next(monkeypatch):
     stdout = io.StringIO()
-    written = []  # length of stdout at each symbolic_entry call
-    entry = cli.symbolic_entry
+    written = []  # length of stdout at each symbolic_entry_text call
+    entry = cli.symbolic_entry_text
 
     def recorded(*args):
         written.append(len(stdout.getvalue()))
         return entry(*args)
 
-    monkeypatch.setattr(cli, "symbolic_entry", recorded)
+    monkeypatch.setattr(cli, "symbolic_entry_text", recorded)
     monkeypatch.setattr(sys, "stdout", stdout)
     assert main(["hw-symbolic", "--preset", "quartic-full", "--p", "5"]) == 0
     assert len(written) == 9
@@ -312,7 +312,7 @@ def test_hw_symbolic_writes_each_entry_before_computing_the_next(monkeypatch):
 
 def test_hw_symbolic_closed_stdout_stops_after_one_entry(capsys, monkeypatch):
     calls = []
-    entry = cli.symbolic_entry
+    entry = cli.symbolic_entry_text
 
     def counted(*args):
         calls.append(args)
@@ -320,7 +320,7 @@ def test_hw_symbolic_closed_stdout_stops_after_one_entry(capsys, monkeypatch):
 
     read_end, write_end = os.pipe()
     try:
-        monkeypatch.setattr(cli, "symbolic_entry", counted)
+        monkeypatch.setattr(cli, "symbolic_entry_text", counted)
         monkeypatch.setattr(sys, "stdout", ClosedPipe(write_end))
         code = main(["hw-symbolic", "--preset", "quartic-full", "--p", "5"])
         assert code == 141
@@ -383,7 +383,7 @@ def calls_before_a_hasse_witt_name(monkeypatch, argv, watched):
 
 def test_hw_symbolic_computes_first_through_a_hasse_witt_name_in_cli(monkeypatch):
     argv = ["hw-symbolic", "--preset", "quartic-full", "--p", "5"]
-    watched = [geometry.representation_coefficients]
+    watched = [geometry.representation_terms]
     assert calls_before_a_hasse_witt_name(monkeypatch, argv, watched) == []
 
 
@@ -896,3 +896,22 @@ def test_suite_2_11_streams_its_texts_as_generic_det_does():
     generic_det = traced_peak(["generic-det", *args])
     suite = traced_peak(["verify", *args, "--suite", "2.11"])
     assert suite <= 1.05 * generic_det
+
+
+def test_hw_symbolic_peaks_below_one_entry_of_the_polynomial_route():
+    # each entry's text is written from its walk as it is read, so the whole
+    # matrix needs less than one entry built as a polynomial and then printed
+    p = 11
+    support = support_from_preset("quartic-full")
+    labels = support.interior_set()
+    largest = max(
+        ((u, v) for u in labels for v in labels),
+        key=lambda uv: len(hasse_witt.symbolic_entry(support, *uv, p).terms),
+    )
+    tracemalloc.start()
+    try:
+        hasse_witt.symbolic_entry(support, *largest, p).canonical_str()
+        entry = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traced_peak(["hw-symbolic", "--preset", "quartic-full", "--p", str(p)]) <= entry

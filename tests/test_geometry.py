@@ -7,6 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hassewitt import geometry
+from hassewitt.algebra import inverse_factorial_table, power_format
 from hassewitt.geometry import (
     SupportSet,
     enumerate_box_relations,
@@ -19,6 +21,7 @@ from hassewitt.geometry import (
     lift,
     representation_coefficients,
 )
+from hassewitt.hasse_witt import symbolic_entry_text
 
 from conftest import multinomial_mod_p, support_from_preset
 
@@ -177,6 +180,7 @@ def test_walk_coefficients_are_the_multinomials(preset, p, data):
     target = tuple(p * a - b for a, b in zip(u + (1,), v + (1,)))
     coefficients = representation_coefficients(s.lifted, target, p)
     assert list(coefficients) == enumerate_representations(s.lifted, target)
+    assert list(coefficients) == sorted(coefficients)
     assert coefficients == {e: multinomial_mod_p(e, p) for e in coefficients}
 
 
@@ -198,9 +202,33 @@ def test_representations_leave_no_reference_cycles(quartic):
     gc.disable()
     try:
         assert enumerate_representations(quartic.lifted, target)
+        assert representation_coefficients(quartic.lifted, target, p)
+        assert "".join(symbolic_entry_text(quartic, u, v, p).pieces)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("preset,p", [("quartic-full", 11), ("quintic-full", 7)])
+def test_walk_memo_holds_no_more_pairs_than_the_entry_has_terms(preset, p):
+    s = support_from_preset(preset)
+    lifted = [tuple(v) for v in s.lifted]
+    weight = inverse_factorial_table(p)
+    letters = [[power_format(k) % e for e in range(p)] for k in range(s.N)]
+    for u in s.interior_set():
+        for v in s.interior_set():
+            target = tuple(p * a - b for a, b in zip(u + (1,), v + (1,)))
+            live, sizes, start, zero = geometry._live_edges(lifted, target)
+            cut = geometry._cut(sizes)
+            # every level that _tails builds on the way down to the cut
+            held = 0
+            for k in range(cut, s.N):
+                tails = geometry._tails(live, {zero: [("", 1)]}, k, letters, weight, p)
+                assert sum(map(len, tails.values())) == sizes[k]
+                held += sizes[k]
+            assert held <= sizes[0]
+            assert cut == 1 or held + sizes[cut - 1] > sizes[0]  # the shallowest
+            assert sizes[0] == len(representation_coefficients(lifted, target, p))
 
 
 def _random_composition(rng, total, parts):

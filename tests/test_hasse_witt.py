@@ -1,12 +1,15 @@
 import dataclasses
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from hassewitt import hasse_witt, suites
+from hassewitt import geometry, hasse_witt, suites
 from hassewitt.algebra import ExtensionField, SparseLaurentPoly, det_leibniz
-from hassewitt.cli import main
+from hassewitt.cli import PRESETS, main
 from hassewitt.geometry import SupportSet, in_Li, monomials
 from hassewitt.hasse_witt import (
     HypothesisViolation,
@@ -16,6 +19,7 @@ from hassewitt.hasse_witt import (
     oracle_dense_coefficient,
     scaled_matrix,
     symbolic_entry,
+    symbolic_entry_text,
     symbolic_matrix,
     sweep_ranks,
 )
@@ -65,6 +69,69 @@ def test_entry_homogeneity(quartic):
                     for c in range(4)
                 )
                 assert got == target
+
+
+# -- entry texts -----------------------------------------------------------------
+
+
+def assert_text_is_the_canonical_str(support, u, v, p):
+    text = joined(symbolic_entry_text(support, u, v, p))
+    assert text == symbolic_entry(support, u, v, p).canonical_str()
+
+
+def walk_cut(support, u, v, p):
+    """The level at which the walk of entry (u, v) starts its memo, or None
+    for an empty entry."""
+    target = tuple(p * a - b for a, b in zip(u + (1,), v + (1,)))
+    walk = geometry._live_edges(support.lifted, target)
+    return None if walk is None else geometry._cut(walk[1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_entry_text_is_the_canonical_str(preset, p):
+    support = support_from_preset(preset)
+    pairs = list(itertools.product(support.interior_set(), repeat=2))
+    if (preset, p) == ("quintic-full", 11):
+        pairs = pairs[:1] + pairs[-1:]  # RAW_GOLDEN pins the whole matrix
+    for u, v in pairs:
+        assert_text_is_the_canonical_str(support, u, v, p)
+
+
+@pytest.mark.parametrize(
+    "raw,u,v,cut",
+    [
+        ([[3, 0, 0], [0, 3, 0], [0, 0, 3]], U111, U111, None),  # Fermat: "0"
+        # level 1 holds one node per term, so the memo of levels 1..N-1 is
+        # never smaller than the entry when N > 2: level N is the cut only
+        # for N = 1, where nothing is memoised, and level 1 for N <= 2
+        ([[1, 1]], (1, 1), (1, 1), 1),
+        ([[1, 1], [2, 0]], (1, 1), (1, 1), 1),
+        ([[3, 0, 0], [0, 3, 0], [0, 0, 3], [1, 1, 1]], U111, U111, 3),
+    ],
+    ids=["empty", "N=1-cut-at-N", "N=2-cut-at-1", "hesse-cut-at-N-1"],
+)
+def test_entry_text_where_the_walk_is_empty_or_cut_at_an_end(raw, u, v, cut):
+    p = 5
+    support = SupportSet.build(len(raw[0]) - 1, sum(raw[0]), raw)
+    assert walk_cut(support, u, v, p) == cut
+    assert_text_is_the_canonical_str(support, u, v, p)
+    if cut is None:
+        assert joined(symbolic_entry_text(support, u, v, p)) == "0"
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_entry_text_on_drawn_supports(data):
+    n = data.draw(st.integers(1, 2))
+    d = data.draw(st.integers(n + 1, n + 3))
+    raw = data.draw(st.lists(st.sampled_from(monomials(d, n + 1)), min_size=1,
+                             max_size=8, unique=True))
+    support = SupportSet.build(n, d, raw)
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11]))
+    u, v = data.draw(st.tuples(*[st.sampled_from(support.interior_set())] * 2))
+    assert_text_is_the_canonical_str(support, u, v, p)
 
 
 # -- scaled matrix ---------------------------------------------------------------
