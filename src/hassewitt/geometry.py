@@ -355,16 +355,19 @@ def enumerate_Li(lifted, i, depth):
     """All l with sum_k l_k*lifted[k] = 0, l_i <= 0, l_k >= 0 for k != i,
     and -l_i <= depth.  Includes l = 0; deterministic order (by -l_i, then
     lex in the nonnegative part).
+
+    Every lifted column ends in 1, so such an l with -l_i = t is a
+    representation e of depth * lifted[i] with the slack e_i = depth - t:
+    one walk finds them all.  The walk is lex-ascending in e, so a stable
+    sort on -l_i gives the order above.
     """
-    lifted = [tuple(v) for v in lifted]
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    others = lifted[:i] + lifted[i + 1 :]
-    out = []
-    for t in range(depth + 1):
-        target = tuple(t * c for c in lifted[i])
-        for e in enumerate_representations(others, target):
-            out.append(e[:i] + (-t,) + e[i:])
+    target = tuple(depth * c for c in lifted[i])
+    out = enumerate_representations(lifted, target)
+    for k, e in enumerate(out):  # in place: no second list is held
+        out[k] = e[:i] + (e[i] - depth,) + e[i + 1 :]
+    out.sort(key=lambda l: -l[i])
     return out
 
 

@@ -81,18 +81,6 @@ def euler_apply(lifted, coord, beta, f: SparseLaurentPoly) -> SparseLaurentPoly:
     return SparseLaurentPoly(f.nvars, f.modulus, out)
 
 
-def euler_residuals(lifted, beta, f):
-    """The (coord, result) pairs for which the homogeneity operator does not
-    annihilate f."""
-    m = len(lifted[0])
-    bad = []
-    for coord in range(m):
-        res = euler_apply(lifted, coord, beta, f)
-        if not res.is_zero:
-            bad.append((coord, res))
-    return bad
-
-
 # ---------------------------------------------------------------------------
 # series
 # ---------------------------------------------------------------------------
@@ -225,7 +213,10 @@ def verify_hypergeometric_solution(
         raise ValueError("exact-integer mode, and only it, takes a floor")
     _check_relations(tuple(map(tuple, lifted)), tuple(map(tuple, relations)))
 
-    euler_bad = [coord for coord, _ in euler_residuals(lifted, beta, f)]
+    euler_bad = [
+        coord for coord in range(len(lifted[0]))
+        if not euler_apply(lifted, coord, beta, f).is_zero
+    ]
     box_bad = []
     for l in relations:
         res = box_apply(l, f)

@@ -8,7 +8,8 @@ deterministic given (support, p, seed).
 from __future__ import annotations
 
 import functools
-import itertools
+import math
+import operator
 import random
 
 from .algebra import ExtensionField
@@ -39,8 +40,6 @@ from .hypergeometric import (
 )
 from .reports import VerificationReport, timed
 
-PROP_2_9_FULL_LIMIT = 10**5
-PROP_2_9_SAMPLE = 10**4
 LEMMA_3_7_RANDOM_WINDOWS = 2  # seeded random windows per derivative series
 
 
@@ -90,60 +89,43 @@ def suite_2_8(support: SupportSet, p, **_):
     )
 
 
-def suite_2_9(support: SupportSet, p, depth=None, seed=0, **_):
-    """Brute-force check that depth-bounded elements of L_1 x ... x L_M sum
-    to zero only at the all-zero tuple, and that every nonzero enumerated
-    l is in L_i: l_i < 0 <= l_k (k != i) and sum_k l_k * lifted[k] = 0,
-    which says that lifted[i] is the convex combination of the other
-    lifted columns with weights -l_k/l_i.
+def suite_2_9(support: SupportSet, p, depth=None, **_):
+    """Prop 2.9 on the depth-bounded sets: elements of L_1, ..., L_M sum to
+    zero only when every summand is zero.  Every nonzero enumerated l is
+    checked to be in L_i: l_i < 0 <= l_k (k != i) and
+    sum_k l_k * lifted[k] = 0, which says that lifted[i] is the convex
+    combination of the other lifted columns with weights -l_k/l_i.
+
+    The statement is checked by a weight certificate.  With w_k = |a_k|^2
+    for the support exponents a_k, every l in L_i has
+    w.l = sum_k l_k * |a_k - a_i|^2 >= -l_i, since sum_k l_k * a_k = 0,
+    sum_k l_k = 0 and the a_k are distinct lattice points; so w.l > 0
+    unless l = 0.  A tuple that sums to zero has weight 0, the sum of its
+    summands' weights, so once every nonzero enumerated l has w.l > 0 no
+    tuple of the whole product is a counterexample.  ``counterexamples``
+    names each nonzero l with w.l <= 0: every nonzero tuple with zero sum
+    holds one.
     """
     _require_interior_monomial(support, "prop-2.9")
     if depth is None:
         depth = p
     lifted = support.lifted
+    weight = [sum(x * x for x in a) for a in support.exponents]
     sets = [enumerate_Li(lifted, i, depth) for i in range(support.m)]
+    nonzero = [(i, l) for i, elems in enumerate(sets) for l in elems if any(l)]
+    cert_bad = [(i, l) for i, l in nonzero if not in_Li(lifted, i, l)]
+    light = [(i, l) for i, l in nonzero if sum(map(operator.mul, weight, l)) <= 0]
     sizes = [len(s) for s in sets]
-    total = 1
-    for s in sizes:
-        total *= s
-    cert_bad = []
-    for i, elems in enumerate(sets):
-        for l in elems:
-            if any(l) and not in_Li(lifted, i, l):
-                cert_bad.append((i, l))
-    bad_tuples = []
-    if total <= PROP_2_9_FULL_LIMIT:
-        mode = "full"
-        candidates = itertools.product(*sets)
-        checked = total
-    else:
-        mode = "sample"
-        rng = random.Random(seed)
-        candidates = (
-            tuple(rng.choice(s) for s in sets) for _ in range(PROP_2_9_SAMPLE)
-        )
-        checked = PROP_2_9_SAMPLE
-    N = support.N
-    for combo in candidates:
-        sums = [0] * N
-        nonzero = False
-        for l in combo:
-            if any(l):
-                nonzero = True
-                for k in range(N):
-                    sums[k] += l[k]
-        if nonzero and all(x == 0 for x in sums):
-            bad_tuples.append([list(l) for l in combo])
     return VerificationReport(
         statement="prop-2.9",
-        passed=not bad_tuples and not cert_bad,
+        passed=not light and not cert_bad,
         witnesses={
             "p": p,
             "depth": depth,
             "set_sizes": sizes,
-            "mode": mode,
-            "tuples_checked": checked,
-            "counterexamples": bad_tuples,
+            "mode": "full",
+            "tuples_checked": math.prod(sizes),
+            "counterexamples": light,
             "certificate_failures": cert_bad,
         },
     )

@@ -71,7 +71,7 @@ def test_criterion_3_zero_sum_tuples():
     for support, p in DET_CASES:
         rep = run_suites(support, p, "2.9", seed=1)[0]
         ok = ok and rep.passed
-    _verdict("3 (prop 2.9 brute force)", ok)
+    _verdict("3 (prop 2.9 weight certificate)", ok)
 
 
 def _random_support(rng):

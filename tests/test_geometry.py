@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from hassewitt import geometry
 from hassewitt.algebra import inverse_factorial_table, power_format
+from hassewitt.cli import PRESETS
 from hassewitt.geometry import (
     SupportSet,
     enumerate_box_relations,
@@ -19,6 +21,7 @@ from hassewitt.geometry import (
     is_relation,
     kernel_basis,
     lift,
+    monomials,
     representation_coefficients,
 )
 from hassewitt.hasse_witt import symbolic_entry_text
@@ -362,6 +365,57 @@ def test_Li_elements_are_valid(preset, request):
         for l in enumerate_Li(s.lifted, i, 4):
             assert in_Li(s.lifted, i, l)
             assert sum(l) == 0
+
+
+def _Li_by_depth(lifted, i, depth):
+    # the reference: one walk over the other columns for each t = -l_i
+    others = lifted[:i] + lifted[i + 1 :]
+    out = []
+    for t in range(depth + 1):
+        target = tuple(t * c for c in lifted[i])
+        out += [e[:i] + (-t,) + e[i:]
+                for e in enumerate_representations(others, target)]
+    return out
+
+
+@pytest.mark.parametrize("preset", ["hesse", "fermat", "quartic", "quintic"])
+def test_Li_is_the_reference_walk_per_depth(preset, request):
+    s = request.getfixturevalue(preset)
+    for i in range(s.m):
+        for depth in range(9):
+            assert enumerate_Li(s.lifted, i, depth) == _Li_by_depth(s.lifted, i, depth)
+
+
+def _assert_weight_certificate(support, depth):
+    """Every nonzero l of each L_i has w.l = sum_k l_k * |a_k - a_i|^2 >= -l_i
+    for w_k = |a_k|^2: the certificate of suite 2.9."""
+    a = support.exponents
+    weight = [sum(x * x for x in ak) for ak in a]
+    for i in range(support.m):
+        spread = [sum((x - y) ** 2 for x, y in zip(ak, a[i])) for ak in a]
+        for l in enumerate_Li(support.lifted, i, depth):
+            if any(l):
+                w_l = sum(map(operator.mul, weight, l))
+                assert w_l == sum(map(operator.mul, spread, l)) >= -l[i] > 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_Li_weight_certificate_on_presets(preset, p):
+    _assert_weight_certificate(support_from_preset(preset), p)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_Li_weight_certificate_on_drawn_supports(data):
+    n = data.draw(st.integers(1, 2))
+    d = data.draw(st.integers(n + 1, n + 3))
+    raw = data.draw(st.lists(st.sampled_from(monomials(d, n + 1)), min_size=1,
+                             max_size=8, unique=True))
+    u = data.draw(st.sampled_from(enumerate_interior(d, n)))
+    support = SupportSet.build(n, d, raw + [u] * (u not in raw))
+    _assert_weight_certificate(support, data.draw(st.sampled_from([2, 3, 5, 7])))
 
 
 # -- Markov moves ------------------------------------------------------------------

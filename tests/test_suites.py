@@ -8,6 +8,8 @@ import pytest
 from hassewitt import SparseLaurentPoly, hypergeometric, reports, suites
 from hassewitt.hypergeometric import rho_window
 
+from conftest import support_from_preset
+
 # quartic-full at p = 3; the mutated entry is (i, j) = (2, 3), 1-based, which
 # holds three terms: flipping one coefficient mod 3 negates it, so the
 # mutant is neither the entry nor its negative
@@ -113,6 +115,42 @@ def test_suites_name_a_seeded_mutant(quartic, monkeypatch, suite):
     report = _run(quartic, suite)
     assert not report.passed
     assert culprits(report.witnesses) == expected
+
+
+@pytest.mark.parametrize(
+    "preset,p,tuples",
+    [
+        ("quartic-full", 3, 16**3),
+        ("quartic-full", 5, 131**3),
+        ("quartic-full", 7, 759**3),
+        ("quintic-full", 3, 18**3 * 32**3),
+        ("quintic-full", 5, 192**3 * 467**3),
+    ],
+)
+def test_suite_2_9_covers_the_whole_product(preset, p, tuples):
+    (report,) = suites.run_suites(support_from_preset(preset), p, "2.9")
+    assert report.passed
+    assert report.witnesses["mode"] == "full"
+    assert report.witnesses["tuples_checked"] == tuples
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_suite_2_9_names_a_negated_element(quartic, monkeypatch, p):
+    # the negation of a nonzero element of L_1 handed to suite 2.9 as an
+    # element of L_2: its weight is negative, and it lies outside L_2; the
+    # tuple (l, -l, 0) sums to zero
+    real = suites.enumerate_Li
+    l = next(l for l in real(quartic.lifted, 0, p) if any(l))
+    negated = tuple(-x for x in l)
+
+    def injected(lifted, i, depth):
+        return real(lifted, i, depth) + ([negated] if i == I else [])
+
+    monkeypatch.setattr(suites, "enumerate_Li", injected)
+    (report,) = suites.run_suites(quartic, p, "2.9")
+    assert not report.passed
+    assert report.witnesses["counterexamples"] == [(I, negated)]
+    assert report.witnesses["certificate_failures"] == [(I, negated)]
 
 
 def test_timed_sets_seconds_from_one_clock(monkeypatch):
