@@ -159,11 +159,12 @@ class SparseLaurentPoly:
         return evaluate_laurent(specialize(self, point, 0, field), point[0], field)
 
     def canonical_str(self) -> str:
-        """Canonical text form ``c*L1^e1*...*LN^eN + ...``, lex term order."""
-        if self.is_zero:
-            return "0"
-        template = "%s" + "".join(map(power_format, range(self.nvars)))
-        return " + ".join(template % (c, *exp) for exp, c in self.sorted_terms())
+        """Canonical text form ``c*L1^e1*...*LN^eN + ...``, lex term order,
+        and "0" for the zero polynomial: the single piece of canonical_pieces
+        for the zero shift, which moves no coordinate, so that every term
+        is in one run."""
+        [(text,)] = canonical_pieces(self, [(0,) * self.nvars])
+        return text
 
     def __repr__(self):
         return f"<SparseLaurentPoly {self.canonical_str()} (mod {self.modulus})>"

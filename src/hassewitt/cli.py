@@ -172,10 +172,9 @@ def _dump_json(payload, fh):
     newline write (for string keys), consuming a reports.Text as one string
     and any other Iterator as a list as they are written.  Pieces are held,
     up to io.DEFAULT_BUFFER_SIZE, and written when they outgrow it and at
-    the end of each value read from a Text or an Iterator: nothing is
-    written before the first such value is computed, and each is written
-    before the next is computed.  A larger piece is written on its own, not
-    joined."""
+    the end of each Text: nothing is written before the first Text is
+    computed, and each is written before the next is computed.  A larger
+    piece is written on its own, not joined."""
     size = io.DEFAULT_BUFFER_SIZE
     held = io.StringIO()
     for pieces, lazy in _json_chunks(payload, "\n"):
@@ -199,8 +198,8 @@ def _dump_json(payload, fh):
 def _json_chunks(value, newline):
     """(pieces, lazy) pairs that make up ``value`` in _dump_json's layout
     from indentation ``newline`` on: a tuple of layout and values, or, where
-    lazy, the pieces of a value read from a Text or an Iterator, escaped as
-    they come and each with its raw text dropped first."""
+    lazy, the pieces of a Text, escaped as they come.  An Iterator makes a
+    list, its items read one at a time."""
     inner = newline + "  "
     if isinstance(value, Text):
         yield ('"',), False
@@ -218,12 +217,7 @@ def _json_chunks(value, newline):
         for item in value:
             yield (separator,), False
             separator = "," + inner
-            if isinstance(value, Iterator) and isinstance(item, str):
-                item = (encode_basestring_ascii(item),)
-                yield item, True
-                del item
-            else:
-                yield from _json_chunks(item, inner)
+            yield from _json_chunks(item, inner)
         yield (newline + "]" if separator[0] == "," else "[]",), False
     else:
         yield (json.dumps(value),), False

@@ -25,7 +25,6 @@ from .algebra import (
 )
 from .geometry import (
     SupportSet,
-    in_Li,
     representation_coefficients,
     representation_terms,
 )
@@ -97,28 +96,6 @@ def symbolic_matrix(support: SupportSet, p) -> HWMatrixSymbolic:
         tuple(symbolic_entry(support, u, v, p) for v in labels) for u in labels
     )
     return HWMatrixSymbolic(support=support, p=p, labels=labels, entries=entries)
-
-
-def lemma_2_7_violations(support: SupportSet, entries):
-    """Exponent vectors of B_ij that fail membership in L_i."""
-    bad = []
-    lifted = support.lifted
-    for i, row in enumerate(entries):
-        for j, poly in enumerate(row):
-            for l in poly.terms:
-                if not in_Li(lifted, i, l):
-                    bad.append((i, j, l))
-    return bad
-
-
-def lemma_2_8_violations(entries):
-    """(i, j) pairs whose constant term differs from the Kronecker delta."""
-    bad = []
-    for i, row in enumerate(entries):
-        for j, poly in enumerate(row):
-            if poly.constant_term() != (1 if i == j else 0):
-                bad.append((i, j, poly.constant_term()))
-    return bad
 
 
 def scaled_matrix(A: HWMatrixSymbolic) -> HWMatrixSymbolic:

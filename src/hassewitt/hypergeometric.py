@@ -34,11 +34,11 @@ def _falling(s, m):
     return (-1) ** m * math.perm(m - 1 - s, m)
 
 
-def _add_derivative(out, f, orders, sign):
-    """Add sign times the terms of prod_k (d/dL_k)^{orders[k]} f, by falling
-    factorials on exponents, into the dict ``out``, unreduced.  Each term
-    visits only the coordinates with a nonzero order."""
-    active = [(k, m) for k, m in enumerate(orders) if m]
+def _add_derivative(out, f, active, sign):
+    """Add sign times the terms of prod_k (d/dL_k)^m f, over the (k, m)
+    pairs of ``active``, by falling factorials on exponents, into the dict
+    ``out``, unreduced.  Each term visits only the coordinates in
+    ``active``."""
     for exp, c in f.terms.items():
         c *= sign
         new_exp = list(exp)
@@ -50,21 +50,13 @@ def _add_derivative(out, f, orders, sign):
             out[new_exp] = out.get(new_exp, 0) + c
 
 
-def relation_parts(l):
-    """Positive and negative parts: l = l_plus - l_minus, both >= 0."""
-    lp = tuple(max(x, 0) for x in l)
-    lm = tuple(max(-x, 0) for x in l)
-    return lp, lm
-
-
 def box_apply(l, f: SparseLaurentPoly) -> SparseLaurentPoly:
-    """Difference of the two monomial derivative operators built from the
-    positive and negative parts of the relation l, accumulated into one
-    term dict."""
-    lp, lm = relation_parts(l)
+    """Difference of the two monomial derivative operators of the relation
+    l, d^{l+} f - d^{l-} f, applied from the signed coordinates of l and
+    accumulated into one term dict."""
     out = {}
-    _add_derivative(out, f, lp, 1)
-    _add_derivative(out, f, lm, -1)
+    _add_derivative(out, f, [(k, x) for k, x in enumerate(l) if x > 0], 1)
+    _add_derivative(out, f, [(k, -x) for k, x in enumerate(l) if x < 0], -1)
     return SparseLaurentPoly(f.nvars, f.modulus, out)
 
 

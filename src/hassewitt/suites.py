@@ -23,8 +23,6 @@ from .hasse_witt import (
     HypothesisViolation,
     evaluate_matrix,
     generic_det_check,
-    lemma_2_7_violations,
-    lemma_2_8_violations,
     oracle_dense_coefficient,
     scaled_matrix,
     symbolic_matrix,
@@ -70,7 +68,14 @@ def _require_interior_monomial(support: SupportSet, statement):
 
 def suite_2_7(support: SupportSet, p, **_):
     B = scaled_matrix(symbolic_matrix(support, p))
-    bad = lemma_2_7_violations(support, B.entries)
+    lifted = support.lifted
+    bad = [
+        (i, j, l)
+        for i, row in enumerate(B.entries)
+        for j, poly in enumerate(row)
+        for l in poly.terms
+        if not in_Li(lifted, i, l)
+    ]
     monomials = sum(len(poly.terms) for row in B.entries for poly in row)
     return VerificationReport(
         statement="lemma-2.7",
@@ -81,7 +86,12 @@ def suite_2_7(support: SupportSet, p, **_):
 
 def suite_2_8(support: SupportSet, p, **_):
     B = scaled_matrix(symbolic_matrix(support, p))
-    bad = lemma_2_8_violations(B.entries)
+    bad = [
+        (i, j, ct)
+        for i, row in enumerate(B.entries)
+        for j, poly in enumerate(row)
+        if (ct := poly.constant_term()) != (1 if i == j else 0)
+    ]
     return VerificationReport(
         statement="lemma-2.8",
         passed=not bad,
