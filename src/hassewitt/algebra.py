@@ -6,7 +6,8 @@ A SparseLaurentPoly stores its terms as a dict mapping exponent tuples
 coefficient is an int in [1, p); with ``modulus=None`` coefficients are
 arbitrary nonzero integers or Fractions.  Zero coefficients are never
 stored, and all term iteration is in lexicographic exponent order, so
-serialization is deterministic.
+serialization is deterministic.  A determinant (det_leibniz) is a
+PackedPoly instead, which keeps each exponent packed into one int.
 """
 
 from __future__ import annotations
@@ -160,11 +161,11 @@ class SparseLaurentPoly:
 
     def canonical_str(self) -> str:
         """Canonical text form ``c*L1^e1*...*LN^eN + ...``, lex term order,
-        and "0" for the zero polynomial: the single piece of canonical_pieces
-        for the zero shift, which moves no coordinate, so that every term
-        is in one run."""
-        [(text,)] = canonical_pieces(self, [(0,) * self.nvars])
-        return text
+        and "0" for the zero polynomial."""
+        if not self.terms:
+            return "0"
+        term_format = "%s" + "".join(map(power_format, range(self.nvars)))
+        return " + ".join(term_format % (c, *exp) for exp, c in self.sorted_terms())
 
     def __repr__(self):
         return f"<SparseLaurentPoly {self.canonical_str()} (mod {self.modulus})>"
@@ -174,56 +175,6 @@ def power_format(k):
     """The %-format, of its exponent, of the factor L_{k+1}^e that follows
     a coefficient in a term's canonical text: the one spelling of a power."""
     return f"*L{k + 1}^%d"
-
-
-def canonical_pieces(poly, shifts):
-    """The texts ``poly.shift(s).canonical_str()`` for every s in ``shifts``,
-    from one walk over the sorted terms and with no shifted polynomial: an
-    iterator of tuples, one piece per shift, whose concatenations are the
-    texts.
-
-    A shift keeps the lex order of the terms, and it moves only the first h
-    coordinates, h one past the last coordinate that any shift moves.  The
-    terms that share those h coordinates, their head, are contiguous, and
-    each run of them makes one piece per shift: the head is formatted once
-    per run and shift, and the other coordinates once per term, for all the
-    shifts together.
-    """
-    shifts = [tuple(s) for s in shifts]
-    if any(len(s) != poly.nvars for s in shifts):
-        raise ValueError("shift vector has wrong length")
-    if poly.is_zero:
-        return iter([("0",) * len(shifts)])
-    h = max((k + 1 for s in shifts for k, x in enumerate(s) if x), default=0)
-    return _canonical_pieces(poly.sorted_terms(), shifts, h)
-
-
-def _canonical_pieces(terms, shifts, h):
-    # A term's text is its coefficient, its head's text, then its tail's
-    # (coordinates h on).  Between two heads' texts sit a tail, " + " and
-    # the next coefficient: the glue, the same for every shift, so that a
-    # run's piece is its glues joined by its head's text.
-    nvars = len(terms[0][0])
-    head_format = "".join(map(power_format, range(h)))
-    tail_format = "".join(map(power_format, range(h, nvars)))
-    glue_format = tail_format + " + %s"
-
-    def pieces(head, glues):
-        return tuple(
-            (head_format % tuple(map(operator.add, head, s))).join(glues)
-            for s in shifts
-        )
-
-    exp, c = terms[0]
-    head, glues = exp[:h], ["%s" % c]
-    for following, c in itertools.islice(terms, 1, None):
-        glues.append(glue_format % (exp[h:] + (c,)))
-        if following[:h] != head:
-            yield pieces(head, glues)
-            head, glues = following[:h], [""]
-        exp = following
-    glues.append(tail_format % exp[h:])
-    yield pieces(head, glues)
 
 
 def specialize(poly, point, k, field):
@@ -269,44 +220,143 @@ def evaluate_laurent(coeffs, x, field):
 
 
 DET_BOUND = 8
+# The product over the rows of their term counts bounds the Leibniz products
+# and the terms of the determinant: quartic-full at p = 7 reaches 5.6e8 (24 s
+# and 255 MB on a shared 2-CPU machine), quintic-full at p = 5 2.6e15.
+DET_WORK_BOUND = 10**9
 
 
-def det_leibniz(mat) -> SparseLaurentPoly:
+class DeterminantBoundError(ValueError):
+    """A matrix that det_leibniz refuses: over DET_BOUND rows, or over
+    DET_WORK_BOUND in the product of its rows' term counts."""
+
+
+def det_leibniz(mat) -> PackedPoly:
     """Determinant of a square matrix of SparseLaurentPoly: the Leibniz sum
-    over all permutations, grouped by shared minors.  Guarded by DET_BOUND
-    against blowup in the matrix size.
+    over all permutations, grouped by shared minors, as a PackedPoly.
+    Guarded by DET_BOUND against blowup in the matrix size and by
+    DET_WORK_BOUND against blowup in the terms.
 
     The expansion runs along the first row, and the minor of the trailing
     rows r..m-1 on each column subset S is computed once, from the minors
     of rows r+1..m-1 on the subsets of S: m * 2**(m-1) products rather than
     m! * (m-1).  Every product works on exponents packed into one int each
-    (see _pack_entries), so multiplying two terms is one int addition; the
-    exponents are unpacked once, at the end, in the order of the packed
-    keys, which is lex order.  Coefficients are reduced mod the common
-    modulus, and zeros dropped, once per minor.
+    (see _pack_entries), so multiplying two terms is one int addition, and
+    the result keeps those keys: no exponent is unpacked here.
+    Coefficients are reduced mod the common modulus, and zeros dropped,
+    once per minor.
     """
     m = len(mat)
     if any(len(row) != m for row in mat):
         raise ValueError("matrix is not square")
     if m > DET_BOUND:
-        raise ValueError(f"matrix size {m} exceeds determinant bound {DET_BOUND}")
+        raise DeterminantBoundError(f"matrix size {m} exceeds determinant bound {DET_BOUND}")
     if m == 0:
         raise ValueError("empty matrix")
     proto = mat[0][0]
     for row in mat:
         for entry in row:
             proto._check_compat(entry)
+    work = math.prod(sum(len(entry.terms) for entry in row) for row in mat)
+    if work > DET_WORK_BOUND:
+        raise DeterminantBoundError(
+            f"determinant work {work:.2e}, the product of the rows' term "
+            f"counts, exceeds DET_WORK_BOUND = {DET_WORK_BOUND:.0e}"
+        )
     packed, width, lo = _pack_entries(mat)
-    det = _packed_det(packed, proto.modulus)
-    del packed
-    unpack = _unpacker(proto.nvars, width)
-    if any(lo):
-        offsets = [m * x for x in lo]
-        terms = {tuple(map(operator.add, unpack(k), offsets)): det[k] for k in sorted(det)}
-    else:
-        terms = {unpack(k): det[k] for k in sorted(det)}
-    del det  # the packed determinant goes before the polynomial is built
-    return SparseLaurentPoly(proto.nvars, proto.modulus, terms)
+    offsets = [m * x for x in lo] if lo else [0] * proto.nvars
+    return PackedPoly(
+        proto.nvars, proto.modulus, _packed_det(packed, proto.modulus), width, offsets
+    )
+
+
+class PackedPoly:
+    """A Laurent polynomial on packed exponents, as det_leibniz returns it:
+    ``terms`` maps packed keys to nonzero coefficients (mod ``modulus`` when
+    it is set).  The exponent of a key is its ``nvars`` fields of ``width``
+    bits, coordinate 0 in the most significant one, plus ``offsets``, so the
+    int order of the keys is the lex order of the exponents.  No method
+    unpacks a key into a whole exponent."""
+
+    __slots__ = ("nvars", "modulus", "terms", "width", "offsets")
+
+    def __init__(self, nvars, modulus, terms, width, offsets):
+        self.nvars = nvars
+        self.modulus = modulus
+        self.terms = terms
+        self.width = width
+        self.offsets = tuple(offsets)
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def coefficient(self, exp):
+        """The coefficient at the exponent ``exp``: one lookup of its packed
+        key, and 0 where a coordinate lies outside its field."""
+        if len(exp) != self.nvars:
+            raise ValueError("exponent has wrong length")
+        key = 0
+        for x, offset in zip(exp, self.offsets):
+            x -= offset
+            if not 0 <= x < 1 << self.width:
+                return 0
+            key = key << self.width | x
+        return self.terms.get(key, 0)
+
+    def pieces(self, shifts):
+        """The canonical_str texts of this polynomial times L^s, for every
+        s in ``shifts``, from one walk over the sorted keys and with no
+        shifted polynomial: an iterator of tuples, one piece per shift,
+        whose concatenations are the texts.
+
+        The offsets join each shift.  A shift keeps the lex order of the
+        terms, and it moves only the first h coordinates, h one past the
+        last coordinate that any shift moves.  The keys that share those h
+        fields, their head, are contiguous, and each run of them makes one
+        piece per shift: the head is unpacked once per run and formatted
+        once per run and shift, and each term's tail, the other fields, is
+        unpacked by one struct call and formatted once for all the shifts
+        together.
+        """
+        shifts = [tuple(s) for s in shifts]
+        if any(len(s) != self.nvars for s in shifts):
+            raise ValueError("shift vector has wrong length")
+        if not self.terms:
+            return iter([("0",) * len(shifts)])
+        shifts = [tuple(map(operator.add, s, self.offsets)) for s in shifts]
+        h = max((k + 1 for s in shifts for k, x in enumerate(s) if x), default=0)
+        return self._pieces(shifts, h)
+
+    def _pieces(self, shifts, h):
+        # A term's text is its coefficient, its head's text, then its tail's.
+        # Between two heads' texts sit a tail, " + " and the next
+        # coefficient: the glue, the same for every shift, so that a run's
+        # piece is its glues joined by its head's text.
+        terms, width = self.terms, self.width
+        tail_bits = (self.nvars - h) * width
+        unpack_head, unpack_tail = _unpacker(h, width), _unpacker(self.nvars, width, h)
+        head_format = "".join(map(power_format, range(h)))
+        tail_format = "".join(map(power_format, range(h, self.nvars)))
+        glue_format = tail_format + " + %s"
+
+        def pieces(head, glues):
+            head = unpack_head(head)
+            return tuple(
+                (head_format % tuple(map(operator.add, head, s))).join(glues)
+                for s in shifts
+            )
+
+        keys = sorted(terms)
+        key = keys[0]
+        head, glues = key >> tail_bits, ["%s" % terms[key]]
+        for following in itertools.islice(keys, 1, None):
+            glues.append(glue_format % (*unpack_tail(key), terms[following]))
+            if following >> tail_bits != head:
+                yield pieces(head, glues)
+                head, glues = following >> tail_bits, [""]
+            key = following
+        glues.append(tail_format % unpack_tail(key))
+        yield pieces(head, glues)
 
 
 def _packed_det(packed, modulus):
@@ -380,16 +430,18 @@ def _pack_entries(mat):
     return packed, width, lo
 
 
-def _unpacker(nvars, width):
-    """The inverse of _pack_entries' packing: a packed key -> its fields,
-    coordinate 0 (the most significant field) first."""
+def _unpacker(nvars, width, first=0):
+    """The inverse of _pack_entries' packing from field ``first`` on: a key
+    of ``nvars`` fields -> its fields first..nvars-1, the most significant
+    first.  Where the width is that of a machine integer it is one struct
+    call, which skips the bytes of the fields before ``first``."""
     code = {8: "B", 16: "H", 32: "I", 64: "Q"}.get(width)
     if code is not None:
-        layout = struct.Struct(f">{nvars}{code}")
+        layout = struct.Struct(f">{first * width // 8}x{nvars - first}{code}")
         return lambda key: layout.unpack(key.to_bytes(layout.size, "big"))
     mask = (1 << width) - 1
     return lambda key: tuple(
-        (key >> ((nvars - 1 - k) * width)) & mask for k in range(nvars)
+        (key >> ((nvars - 1 - k) * width)) & mask for k in range(first, nvars)
     )
 
 
@@ -459,10 +511,16 @@ def _log_tables(p, a):
     """(coeffs, log, zech) for GF(p^a): coeffs[k] is the coefficient tuple
     of g^k, for g the first generator of GF(q)^x in lexicographic coefficient
     order, and coeffs[q-1] is the zero tuple; log is the inverse map, and
-    zech[k] = log(1 + g^k) for k < q - 1."""
+    zech[k] = log(1 + g^k) for k < q - 1.
+
+    A candidate g is a generator when g^((q-1)/r) != 1 for every prime r
+    dividing q - 1, which takes a few dozen products by square and
+    multiply; only the generator's cycle is walked."""
     modulus = find_irreducible(p, a)
     low = modulus[:-1]
     one = (1,) + (0,) * (a - 1)
+    n = p**a - 1
+    cofactors = [n // r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
     fields = struct.Struct(f"<{a}H")
 
     def times_t(x):
@@ -470,27 +528,41 @@ def _log_tables(p, a):
         top = x[-1]
         return tuple((c - top * f) % p for c, f in zip((0,) + x[:-1], low))
 
-    for g in itertools.product(range(p), repeat=a):
-        if not any(g):
-            continue
-        # images[j][c] is c * g * t^j, its coefficients packed into 16-bit
-        # fields, so sum_j images[j][x_j] is x * g before the reduction of
-        # each field mod p; a field sums a terms below p, and a*(p-1) <
-        # p**a <= FIELD_BOUND, so no field carries into the next
-        images, basis = [], g
-        for _ in range(a):
-            images.append([
-                sum((c * y % p) << (16 * i) for i, y in enumerate(basis))
-                for c in range(p)
-            ])
-            basis = times_t(basis)
-        powers, x = [one], g
-        while x != one:
-            powers.append(x)
-            packed = sum(map(operator.getitem, images, x))
-            x = tuple(v % p for v in fields.unpack(packed.to_bytes(fields.size, "little")))
-        if len(powers) == p**a - 1:
-            break
+    def times(x, y):
+        # Horner's rule in t over the coefficients of y
+        acc = (0,) * a
+        for c in reversed(y):
+            acc = tuple((u + c * v) % p for u, v in zip(times_t(acc), x))
+        return acc
+
+    def power(x, e):
+        acc = one
+        for bit in bin(e)[2:]:
+            acc = times(acc, acc)
+            if bit == "1":
+                acc = times(acc, x)
+        return acc
+
+    g = next(
+        g for g in itertools.product(range(p), repeat=a)
+        if any(g) and all(power(g, e) != one for e in cofactors)
+    )
+    # images[j][c] is c * g * t^j, its coefficients packed into 16-bit
+    # fields, so sum_j images[j][x_j] is x * g before the reduction of each
+    # field mod p; a field sums a terms below p, and a*(p-1) < p**a <=
+    # FIELD_BOUND, so no field carries into the next
+    images, basis = [], g
+    for _ in range(a):
+        images.append([
+            sum((c * y % p) << (16 * i) for i, y in enumerate(basis))
+            for c in range(p)
+        ])
+        basis = times_t(basis)
+    powers, x = [one], g
+    while x != one:
+        powers.append(x)
+        packed = sum(map(operator.getitem, images, x))
+        x = tuple(v % p for v in fields.unpack(packed.to_bytes(fields.size, "little")))
     coeffs = tuple(powers) + ((0,) * a,)
     log = {c: k for k, c in enumerate(coeffs)}
     zech = tuple(log[((c[0] + 1) % p,) + c[1:]] for c in powers)

@@ -5,7 +5,8 @@ requested computation, and prints canonical JSON (or CSV for rank sweeps) on
 standard output.
 
 Exit codes: 0 all-pass, 1 verification failure, 2 malformed configuration
-(a field above FIELD_BOUND or an --out that cannot be written included), 3
+(a field above FIELD_BOUND, a determinant over DET_BOUND or DET_WORK_BOUND
+and an --out that cannot be written included), 3
 hypothesis violation (interior set not contained in the support), 141
 (128 + SIGPIPE) stdout closed by its reader.
 """
@@ -21,7 +22,7 @@ import sys
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
-from .algebra import DET_BOUND, ExtensionField, is_prime
+from .algebra import DET_BOUND, DeterminantBoundError, ExtensionField, is_prime
 from .geometry import SupportSet, monomials
 from .hasse_witt import (
     HypothesisViolation,
@@ -463,7 +464,7 @@ def main(argv=None) -> int:
         code = COMMANDS[args.command](args, cfg, support)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return code
-    except ConfigError as exc:
+    except (ConfigError, DeterminantBoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except HypothesisViolation as exc:

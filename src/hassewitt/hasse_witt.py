@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from .algebra import (
     ExtensionField,
     SparseLaurentPoly,
-    canonical_pieces,
     det_leibniz,
     evaluate_laurent,
     power_format,
@@ -121,12 +120,13 @@ def scaled_matrix(A: HWMatrixSymbolic) -> HWMatrixSymbolic:
 def generic_det(support: SupportSet, p):
     """Generic invertibility: (ct, det_A_nonzero, text_A, text_B), where ct
     is the constant term of det B, the determinant of the rescaled matrix B,
-    and the Texts of det A and det B come from one algebra.canonical_pieces
-    walk: text_A reads it and keeps det B's pieces, so it is read first.
-    ct = 1 is Prop 2.11, and it makes det A a nonzero polynomial (Thm 2.3).
+    and the Texts of det A and det B come from one walk over the packed
+    determinant (algebra.PackedPoly.pieces): text_A reads it and keeps det
+    B's pieces, so it is read first.  ct = 1 is Prop 2.11, and it makes det
+    A a nonzero polynomial (Thm 2.3).
 
-    Only det A is expanded, and no polynomial for det B is built.  B is A
-    with row i multiplied by L_i^{-p} and column j by L_j, so by
+    Only det A is expanded, and no polynomial for det A or det B is built.
+    B is A with row i multiplied by L_i^{-p} and column j by L_j, so by
     multilinearity of the determinant det B = det A * L^delta exactly, with
     delta 1 - p on the m interior coordinates and 0 elsewhere: ct is det A's
     coefficient at L^{-delta}, and det B's text is det A's shifted by delta.
@@ -134,8 +134,8 @@ def generic_det(support: SupportSet, p):
     _require_interior(support, "the generic determinant check")
     det_A = det_leibniz(symbolic_matrix(support, p).entries)
     delta = tuple(1 - p if k < support.m else 0 for k in range(support.N))
-    ct = det_A.terms.get(tuple(-x for x in delta), 0)
-    pieces = canonical_pieces(det_A, [(0,) * len(delta), delta])
+    ct = det_A.coefficient(tuple(-x for x in delta))
+    pieces = det_A.pieces([(0,) * len(delta), delta])
     kept = []  # text_B iterates over the list once text_A has filled it
 
     def pieces_A():
@@ -143,7 +143,7 @@ def generic_det(support: SupportSet, p):
             kept.append(piece_B)
             yield piece_A
 
-    return ct, not det_A.is_zero, Text(pieces_A()), Text(kept)
+    return ct, bool(det_A), Text(pieces_A()), Text(kept)
 
 
 def generic_det_check(support: SupportSet, p) -> VerificationReport:

@@ -80,6 +80,18 @@ def det_cofactor(mat):
     return plus(*terms)
 
 
+def unpacked(d):
+    """The SparseLaurentPoly that an algebra.PackedPoly stands for, its terms
+    in the int order of the packed keys: independent of PackedPoly's own
+    readers, field k of a key is read by a shift and a mask."""
+    mask = (1 << d.width) - 1
+    terms = {}
+    for key in sorted(d.terms):
+        fields = [(key >> ((d.nvars - 1 - k) * d.width)) & mask for k in range(d.nvars)]
+        terms[tuple(f + o for f, o in zip(fields, d.offsets))] = d.terms[key]
+    return SparseLaurentPoly(d.nvars, d.modulus, terms)
+
+
 def monomial_derivative(f, orders):
     # independent oracle: prod_k (d/dL_k)^{orders[k]} f, term by term; a
     # coordinate of order 0 changes no term, so only the others are visited

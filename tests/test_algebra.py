@@ -2,6 +2,8 @@ import itertools
 import math
 import operator
 import random
+import struct
+import types
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,6 @@ from hassewitt.algebra import (
     FIELD_BOUND,
     ExtensionField,
     SparseLaurentPoly,
-    canonical_pieces,
     det_leibniz,
     evaluate_laurent,
     factorial_table,
@@ -21,7 +22,7 @@ from hassewitt.algebra import (
     specialize,
 )
 
-from conftest import const, det_cofactor, mono, multinomial_mod_p, plus, zero
+from conftest import const, det_cofactor, mono, multinomial_mod_p, plus, unpacked, zero
 
 P = SparseLaurentPoly
 
@@ -154,41 +155,41 @@ def test_canonical_pieces_match_shift():
             [rng.choice((0, rng.randint(-4, 4))) for _ in range(nvars)]
             for _ in range(rng.randint(1, 3))
         ]
-        pieces = list(canonical_pieces(f, shifts))
+        pieces = list(det_leibniz([[f]]).pieces(shifts))
         assert all(len(piece) == len(shifts) for piece in pieces)
         assert texts(pieces) == [f.shift(s).canonical_str() for s in shifts]
     half = P(2, None, {(1, -2): Fraction(1, 2), (0, 3): Fraction(-7, 3), (2, 2): 4})
-    assert texts(canonical_pieces(half, [(3, -1), (0, 0)])) == [
+    assert texts(det_leibniz([[half]]).pieces([(3, -1), (0, 0)])) == [
         half.shift((3, -1)).canonical_str(),
         half.canonical_str(),
     ]
-    assert texts(canonical_pieces(half, [(3, -1)])) == [
+    assert texts(det_leibniz([[half]]).pieces([(3, -1)])) == [
         "-7/3*L1^3*L2^2 + 1/2*L1^4*L2^-3 + 4*L1^5*L2^1"
     ]
-    assert list(canonical_pieces(zero(3, 5), [(1, 2, 3), (0, 0, 0)])) == [("0", "0")]
+    assert list(det_leibniz([[zero(3, 5)]]).pieces([(1, 2, 3), (0, 0, 0)])) == [("0", "0")]
 
 
 def test_canonical_pieces_one_piece_per_head():
     # only coordinate 0 moves, so each first exponent is a run of its own
     f = P(3, 5, {(0, 1, 2): 1, (0, 2, 0): 2, (1, 0, 0): 3, (4, 4, 4): 4, (4, 5, 0): 1})
-    pieces = list(canonical_pieces(f, [(0, 0, 0), (-1, 0, 0)]))
+    pieces = list(det_leibniz([[f]]).pieces([(0, 0, 0), (-1, 0, 0)]))
     assert len(pieces) == 3
     assert texts(pieces) == [f.canonical_str(), f.shift((-1, 0, 0)).canonical_str()]
     # no coordinate moves: one run
-    assert len(list(canonical_pieces(f, [(0, 0, 0)]))) == 1
+    assert len(list(det_leibniz([[f]]).pieces([(0, 0, 0)]))) == 1
 
 
 def test_canonical_pieces_reject_a_shift_of_the_wrong_length():
     f = mono((1, 2), 3, p=5)
     for delta in [(1,), (1, 2, 3), ()]:
         with pytest.raises(ValueError):
-            canonical_pieces(f, [delta])
+            det_leibniz([[f]]).pieces([delta])
         with pytest.raises(ValueError):
-            canonical_pieces(f, [(0, 0), delta])
+            det_leibniz([[f]]).pieces([(0, 0), delta])
         with pytest.raises(ValueError):
             f.shift(delta)
     with pytest.raises(ValueError):
-        canonical_pieces(zero(2, 5), [(1,)])
+        det_leibniz([[zero(2, 5)]]).pieces([(1,)])
 
 
 # -- determinants -------------------------------------------------------------
@@ -196,16 +197,16 @@ def test_canonical_pieces_reject_a_shift_of_the_wrong_length():
 
 def test_det_identity_and_diag():
     one, nil = const(2, 1, 5), zero(2, 5)
-    assert det_leibniz([[one, nil], [nil, one]]) == one
+    assert unpacked(det_leibniz([[one, nil], [nil, one]])) == one
     l1, l2 = mono((1, 0), p=5), mono((0, 1), p=5)
-    assert det_leibniz([[l1, nil], [nil, l2]]) == l1 * l2
+    assert unpacked(det_leibniz([[l1, nil], [nil, l2]])) == l1 * l2
 
 
 def test_det_2x2_example():
     one, l2 = const(2, 1, 5), mono((0, 1), p=5)
     mat = [[P(2, 5, {(0, 0): 1, (1, 0): 1}), l2], [l2, one]]
     expected = P(2, 5, {(0, 0): 1, (1, 0): 1, (0, 2): 4})
-    assert det_leibniz(mat) == expected
+    assert unpacked(det_leibniz(mat)) == expected
 
 
 def test_det_3x3_matches_cofactor():
@@ -213,13 +214,24 @@ def test_det_3x3_matches_cofactor():
     for _ in range(25):
         p = rng.choice([3, 5, 7])
         mat = [[random_poly(rng, 2, p, 2) for _ in range(3)] for _ in range(3)]
-        assert det_leibniz(mat) == det_cofactor(mat)
+        assert unpacked(det_leibniz(mat)) == det_cofactor(mat)
 
 
 def test_det_bound():
     one = const(1, 1, 5)
     mat = [[one] * 9 for _ in range(9)]
     with pytest.raises(ValueError):
+        det_leibniz(mat)
+
+
+def test_det_work_bound(monkeypatch):
+    # rows of 1 + 2 terms: the Leibniz products number at most 3 * 3 = 9
+    one, l1 = const(1, 1, 5), mono((1,), p=5)
+    mat = [[l1, plus(one, l1)], [plus(one, l1), l1]]
+    monkeypatch.setattr(algebra, "DET_WORK_BOUND", 9)
+    assert unpacked(det_leibniz(mat)) == det_cofactor(mat)
+    monkeypatch.setattr(algebra, "DET_WORK_BOUND", 8)
+    with pytest.raises(algebra.DeterminantBoundError, match="DET_WORK_BOUND"):
         det_leibniz(mat)
 
 
@@ -254,7 +266,7 @@ def test_det_matches_cofactor_random(modulus):
         for nvars in (1, 2, 3):
             for _ in range(3 if m < 5 else 1):
                 mat = [[random_entry(rng, nvars, modulus) for _ in range(m)] for _ in range(m)]
-                d = det_leibniz(mat)
+                d = unpacked(det_leibniz(mat))
                 assert d == det_cofactor(mat)
                 assert list(d.terms) == sorted(d.terms)
 
@@ -277,7 +289,7 @@ def test_det_nonnegative_exponents_matches_cofactor(modulus, hi):
             for _ in range(m)
         ]
         mat[0][0] = plus(mat[0][0], const(3, 1, modulus))
-        d = det_leibniz(mat)
+        d = unpacked(det_leibniz(mat))
         assert d == det_cofactor(mat)
         assert list(d.terms) == sorted(d.terms)
 
@@ -288,12 +300,12 @@ def test_det_zero_row_and_cancellation(modulus):
     for m in (2, 3, 4):
         mat = [[random_entry(rng, 2, modulus) for _ in range(m)] for _ in range(m)]
         mat[rng.randrange(m)] = [zero(2, modulus)] * m
-        assert det_leibniz(mat) == zero(2, modulus)
+        assert unpacked(det_leibniz(mat)) == zero(2, modulus)
         # two equal rows: swapping them pairs up the permutations with
         # opposite signs, so every term cancels
         mat = [[random_entry(rng, 2, modulus) for _ in range(m)] for _ in range(m - 1)]
         mat.append(list(mat[0]))
-        assert det_leibniz(mat) == zero(2, modulus) == det_cofactor(mat)
+        assert unpacked(det_leibniz(mat)) == zero(2, modulus) == det_cofactor(mat)
 
 
 @pytest.mark.parametrize(
@@ -323,13 +335,93 @@ def test_det_wide_exponents(lo, hi):
             ]
             for _ in range(m)
         ]
-        d = det_leibniz(mat)
+        d = unpacked(det_leibniz(mat))
         assert d == det_cofactor(mat)
         assert list(d.terms) == sorted(d.terms)
     top, bottom = mono((hi, lo)), mono((lo, hi))
-    d = det_leibniz([[top, bottom], [bottom, top]])
+    d = unpacked(det_leibniz([[top, bottom], [bottom, top]]))
     assert d == P(2, None, {(2 * hi, 2 * lo): 1, (2 * lo, 2 * hi): -1})
     assert list(d.terms) == sorted(d.terms)
+
+
+def assert_pieces_match_cofactor(mat, shift):
+    """det_leibniz(mat).pieces([0, shift]) joins to the cofactor texts, and
+    coefficient reads every term of the cofactor expansion."""
+    d, ref = det_leibniz(mat), det_cofactor(mat)
+    nvars = len(shift)
+    assert texts(d.pieces([(0,) * nvars, shift])) == [
+        ref.canonical_str(),
+        ref.shift(shift).canonical_str(),
+    ]
+    assert bool(d) == (not ref.is_zero)
+    for exp, c in ref.terms.items():
+        assert d.coefficient(exp) == c
+    return d
+
+
+@pytest.mark.parametrize("modulus", [None, 2, 3, 5, 7])
+def test_det_pieces_match_cofactor_random(modulus):
+    rng = random.Random(f"pieces-{modulus}")
+    offsets = set()
+    for m in range(1, 5):
+        for nvars in (1, 2, 3):
+            for _ in range(3):
+                mat = [[random_entry(rng, nvars, modulus) for _ in range(m)] for _ in range(m)]
+                shift = tuple(rng.choice((0, rng.randint(-4, 4))) for _ in range(nvars))
+                offsets.update(assert_pieces_match_cofactor(mat, shift).offsets)
+    assert min(offsets) < 0  # negative exponents, read through nonzero offsets
+
+
+@pytest.mark.parametrize("modulus", [None, 3])
+def test_det_pieces_of_a_zero_determinant(modulus):
+    rng = random.Random(f"zero-pieces-{modulus}")
+    for m in (1, 2, 3):
+        mat = [[random_entry(rng, 2, modulus) for _ in range(m)] for _ in range(m - 1)]
+        mat.append(list(mat[0]) if mat else [zero(2, modulus)])
+        d = det_leibniz(mat)
+        assert not d
+        assert list(d.pieces([(0, 0), (1, -1)])) == [("0", "0")]
+        assert d.coefficient((0, 0)) == 0
+
+
+@pytest.mark.parametrize(
+    "lo,hi,width",
+    [
+        (-3, 3, 8),
+        (0, 2**7, 16),
+        (-1, 2**15 - 1, 32),
+        (-(2**31), 0, 64),
+        (2**40, 2**63 + 2**40, 65),
+    ],
+)
+def test_det_pieces_at_every_width(lo, hi, width):
+    # exponents at both ends of [lo, hi], so that the field holds m * (hi - lo)
+    rng = random.Random(f"width-{lo}-{hi}")
+    for m in (2, 3):
+        mat = [
+            [
+                P(3, None, {
+                    tuple(rng.choice((lo, hi)) for _ in range(3)): rng.randint(-5, 5) or 1
+                    for _ in range(3)
+                })
+                for _ in range(m)
+            ]
+            for _ in range(m)
+        ]
+        shift = (rng.randint(-9, 9), 0, rng.randint(-9, 9))
+        d = assert_pieces_match_cofactor(mat, shift)
+        assert d.width == width
+
+
+def test_det_coefficient_outside_the_packed_range():
+    f = P(2, 5, {(-2, 3): 1, (1, 0): 4, (0, 7): 2})
+    d = det_leibniz([[f]])
+    assert d.offsets == (-2, 0) and d.width == 8
+    assert [d.coefficient(e) for e in [(-2, 3), (1, 0), (0, 7)]] == [1, 4, 2]
+    for exp in [(-3, 3), (1, -1), (-2 + 2**8, 3), (1, 2**8), (2**70, 0), (0, 0)]:
+        assert d.coefficient(exp) == 0
+    with pytest.raises(ValueError):
+        d.coefficient((1,))
 
 
 # -- specialization ------------------------------------------------------------
@@ -606,6 +698,24 @@ def reference_log_tables(p, a):
     log = {c: k for k, c in enumerate(coeffs)}
     zech = tuple(log[((c[0] + 1) % p,) + c[1:]] for c in powers)
     return coeffs, log, zech
+
+
+@pytest.mark.parametrize("p,a", [(7, 2), (2, 16)])
+def test_log_tables_walk_only_the_generator(monkeypatch, p, a):
+    # each step of the walk is one struct unpack: the generator's cycle has
+    # q - 1 elements, reached in q - 2 steps from g, and no candidate before
+    # the generator is walked
+    steps = []
+
+    class CountingStruct(struct.Struct):
+        def unpack(self, buffer):
+            steps.append(buffer)
+            return super().unpack(buffer)
+
+    monkeypatch.setattr(algebra, "struct", types.SimpleNamespace(Struct=CountingStruct))
+    tables = algebra._log_tables.__wrapped__(p, a)
+    assert len(steps) == p**a - 2
+    assert tables == reference_log_tables(p, a)
 
 
 @pytest.mark.parametrize("p,a", [(2, 16), (3, 8), (5, 3), (7, 2)])

@@ -767,6 +767,24 @@ def test_determinant_over_the_bound_exit_2(tmp_path, capsys, argv):
     assert "m = 10" in err and "bound 8" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["generic-det"], ["verify"], ["verify", "--suite", "2.11"]],
+    ids=["generic-det", "verify-all", "verify-2.11"],
+)
+def test_determinant_over_the_work_bound_exit_2(capsys, monkeypatch, argv):
+    # quintic-full at p = 5 has m = 6 but rows whose term counts multiply to
+    # 2.6e15: the expansion is refused before it starts
+    def expanded(*args):
+        raise AssertionError("the determinant was expanded")
+
+    monkeypatch.setattr(algebra, "_packed_det", expanded)
+    code, out, err = run_cli(capsys, *argv, "--preset", "quintic-full", "--p", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ") and "DET_WORK_BOUND" in err
+
+
 def test_box_suite_runs_over_the_determinant_bound(tmp_path, capsys):
     path = write_config(tmp_path, **SEXTIC)
     code, out, _ = run_cli(capsys, "verify", "--config", path, "--suite", "3.11")
@@ -896,6 +914,22 @@ def test_suite_2_11_streams_its_texts_as_generic_det_does():
     generic_det = traced_peak(["generic-det", *args])
     suite = traced_peak(["verify", *args, "--suite", "2.11"])
     assert suite <= 1.05 * generic_det
+
+
+def test_generic_det_peaks_near_its_determinant():
+    # the texts are rendered from the packed determinant, with no exponent
+    # tuple and no polynomial copy: the command peaks at little more than
+    # det_leibniz alone (1.03 times; 1.13 when the terms were unpacked into
+    # a polynomial and rendered from it)
+    p = 5
+    entries = hasse_witt.symbolic_matrix(support_from_preset("quartic-full"), p).entries
+    tracemalloc.start()
+    try:
+        algebra.det_leibniz(entries)
+        det = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traced_peak(["generic-det", "--preset", "quartic-full", "--p", str(p)]) <= 1.1 * det
 
 
 def test_hw_symbolic_peaks_below_one_entry_of_the_polynomial_route():

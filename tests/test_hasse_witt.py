@@ -1,13 +1,14 @@
 import dataclasses
 import itertools
 import json
+import math
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hassewitt import geometry, hasse_witt, suites
+from hassewitt import algebra, geometry, hasse_witt, suites
 from hassewitt.algebra import ExtensionField, SparseLaurentPoly, det_leibniz
 from hassewitt.cli import PRESETS, main
 from hassewitt.geometry import SupportSet, in_Li, monomials
@@ -24,7 +25,7 @@ from hassewitt.hasse_witt import (
     sweep_ranks,
 )
 
-from conftest import const, det_cofactor, joined, mono, plus, support_from_preset
+from conftest import const, det_cofactor, joined, mono, plus, support_from_preset, unpacked
 from test_golden import GOLDEN
 
 U111 = (1, 1, 1)
@@ -229,7 +230,9 @@ def test_det_B_is_det_A_times_a_monomial(preset, p):
     support = support_from_preset(preset)
     A = symbolic_matrix(support, p)
     delta = [1 - p if k < support.m else 0 for k in range(support.N)]
-    assert det_leibniz(scaled_matrix(A).entries) == det_leibniz(A.entries).shift(delta)
+    assert unpacked(det_leibniz(scaled_matrix(A).entries)) == unpacked(
+        det_leibniz(A.entries)
+    ).shift(delta)
 
 
 def test_generic_det_matches_cofactor_oracle(quartic):
@@ -237,6 +240,72 @@ def test_generic_det_matches_cofactor_oracle(quartic):
     A = symbolic_matrix(quartic, 3)
     assert joined(w["det_A"]) == det_cofactor(A.entries).canonical_str()
     assert joined(w["det_B"]) == det_cofactor(scaled_matrix(A).entries).canonical_str()
+
+
+@pytest.mark.parametrize("preset,p", [("hesse-cubic", 3), ("hesse-cubic", 5), ("quartic-full", 2)])
+def test_generic_det_texts_match_cofactor_oracle(preset, p):
+    # hesse-cubic's det A has least first exponent 2 at p = 3 and 1 at p = 5,
+    # so its packed keys carry a nonzero offset
+    support = support_from_preset(preset)
+    A = symbolic_matrix(support, p)
+    ct, nonzero, text_A, text_B = hasse_witt.generic_det(support, p)
+    det_A, det_B = det_cofactor(A.entries), det_cofactor(scaled_matrix(A).entries)
+    assert joined(text_A) == det_A.canonical_str()
+    assert joined(text_B) == det_B.canonical_str()
+    assert (ct, nonzero) == (det_B.constant_term(), not det_A.is_zero)
+    if preset == "hesse-cubic":
+        assert det_leibniz(A.entries).offsets[0] > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generic-det", "--preset", "quartic-full", "--p", "5"],
+        ["verify", "--preset", "quartic-full", "--p", "3", "--suite", "2.11"],
+    ],
+)
+def test_generic_det_unpacks_no_exponent(capsys, monkeypatch, argv):
+    # the m * m entries of A are the only polynomials built; the texts unpack
+    # each run's head (m fields) and each term's tail (N - m fields), never a
+    # whole exponent
+    support = support_from_preset("quartic-full")
+    m, N, p = support.m, support.N, int(argv[4])
+    terms = len(det_leibniz(symbolic_matrix(support, p).entries).terms)
+    built, unpacked_fields = [], []
+    init = SparseLaurentPoly.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    real_unpacker = algebra._unpacker
+
+    def counting_unpacker(nvars, width, first=0):
+        unpack = real_unpacker(nvars, width, first)
+
+        def counted(key):
+            unpacked_fields.append(nvars - first)
+            return unpack(key)
+
+        return counted
+
+    monkeypatch.setattr(SparseLaurentPoly, "__init__", counting_init)
+    monkeypatch.setattr(algebra, "_unpacker", counting_unpacker)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(built) == m * m
+    assert unpacked_fields.count(N - m) == terms
+    assert set(unpacked_fields) == {m, N - m}
+
+
+def test_det_work_bound_admits_quartic_p7_and_refuses_quintic_p5():
+    def work(preset, p):
+        A = symbolic_matrix(support_from_preset(preset), p)
+        return math.prod(sum(len(entry.terms) for entry in row) for row in A.entries)
+
+    assert work("quartic-full", 7) <= algebra.DET_WORK_BOUND
+    assert work("quintic-full", 3) <= algebra.DET_WORK_BOUND
+    assert work("quintic-full", 5) > algebra.DET_WORK_BOUND
 
 
 @pytest.mark.parametrize(
