@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import factorial_table, inverse_factorial_table
 
@@ -48,9 +48,12 @@ def lift(exponents):
     return tuple(tuple(a) + (1,) for a in exponents)
 
 
-@dataclass(frozen=True)
-class SupportSet:
-    """The exponent vectors of a sparse homogeneous polynomial family.
+class SupportSet(
+    namedtuple("SupportSet", "n d exponents m u_contained input_order")
+):
+    """The exponent vectors of a sparse homogeneous polynomial family: an
+    immutable, hashable record (n, d, exponents, m, u_contained,
+    input_order).
 
     ``m`` counts how many interior monomials are present in the support;
     when ``u_contained`` is true the full interior set occupies indices
@@ -58,12 +61,7 @@ class SupportSet:
     check ``u_contained`` and refuse otherwise.
     """
 
-    n: int
-    d: int
-    exponents: tuple
-    m: int
-    u_contained: bool
-    input_order: tuple
+    __slots__ = ()
 
     @classmethod
     def build(cls, n, d, exponents):
@@ -111,14 +109,22 @@ def enumerate_representations(lifted, target):
     """All e in N^N with sum_k e_k * lifted[k] = target, lex-ascending in e."""
     # with every weight 1, each value of the walk is 1 and only its labels count
     unit = [1] * (max(target, default=0) + 1)
-    return [e for e, _ in _walk(lifted, target, _coordinate, unit, 2, 1)]
+    return [
+        head + tail
+        for head, _, tails in _walk(lifted, target, _coordinate, unit, 2, 1)
+        for tail, _ in tails
+    ]
 
 
 def representation_coefficients(lifted, target, p):
     """{e: (p-1)! / (e_0! ... e_{N-1}!) mod p} over the e of
     enumerate_representations(lifted, target), in the same lex order, for a
     target whose last coordinate is p - 1 (so every e sums to p - 1)."""
-    return dict(representation_terms(lifted, target, p, _coordinate))
+    return {
+        head + tail: c * w % p
+        for head, c, tails in representation_blocks(lifted, target, p, _coordinate)
+        for tail, w in tails
+    }
 
 
 def representation_terms(lifted, target, p, letter):
@@ -126,6 +132,19 @@ def representation_terms(lifted, target, p, letter):
     iterator of (label, coefficient) pairs in the same order, where the label
     of e is letter(0, e_0) + ... + letter(N-1, e_{N-1}): a str or a tuple.
     """
+    return (
+        (head + tail, c * w % p)
+        for head, c, tails in representation_blocks(lifted, target, p, letter)
+        for tail, w in tails
+    )
+
+
+def representation_blocks(lifted, target, p, letter):
+    """The terms of representation_terms(lifted, target, p, letter) in
+    blocks, one per prefix at the walk's cut: an iterator of (head, c,
+    tails), whose terms are (head + tail, c * w % p) for the (tail, w) of
+    the nonempty list ``tails``, in order.  Lists are shared between blocks
+    and must not be changed."""
     target = tuple(target)
     if not target or target[-1] != p - 1:
         raise ValueError(f"target {target} does not end in p - 1 = {p - 1}")
@@ -140,9 +159,11 @@ def _coordinate(k, e):
 
 
 def _walk(lifted, target, letter, weight, modulus, root):
-    """An iterator of (letter(0, e_0) + ... + letter(N-1, e_{N-1}),
+    """The terms (letter(0, e_0) + ... + letter(N-1, e_{N-1}),
     root * weight[e_0] * ... * weight[e_{N-1}] % modulus) over all e in N^N
-    with sum_k e_k * lifted[k] = target, lex-ascending in e.
+    with sum_k e_k * lifted[k] = target, lex-ascending in e, as an iterator
+    of blocks (head, c, tails): the terms (head + tail, c * w % modulus) for
+    (tail, w) in tails.
 
     Every lifted vector is nonnegative with last coordinate 1, so the last
     target coordinate bounds the total of the e_k, and weight needs an entry
@@ -150,8 +171,8 @@ def _walk(lifted, target, letter, weight, modulus, root):
     _live_edges, so it never dead-ends.  Its levels from the
     cut of _cut on are a memo, built once (_tails); a depth-first search
     above the cut (_descend) shares each prefix's label and product among
-    the paths through it, and emits each term as its prefix's term times
-    one tail of the memo: one concatenation and one multiplication.
+    the paths through it, and emits one block per prefix that reaches the
+    cut: its label and product, and its node's tails in the memo.
     """
     lifted = [tuple(v) for v in lifted]
     target = tuple(target)
@@ -164,7 +185,7 @@ def _walk(lifted, target, letter, weight, modulus, root):
         return iter(())
     if not N:
         # no column to walk: the empty e reaches only the zero target
-        return iter(() if any(target) else [(empty, root)])
+        return iter(() if any(target) else [(empty, root, [(empty, 1)])])
     walk = _live_edges(lifted, target)
     if walk is None:
         return iter(())
@@ -208,8 +229,9 @@ def _tails(live, tails, cut, letters, weight, modulus):
 
 
 def _descend(live, start, cut, tails, letters, weight, modulus, root):
-    """The walk's terms, from the levels above ``cut`` and the ``tails`` of
-    level cut; root is the (label, product) of the empty prefix."""
+    """The walk's blocks (head, c, tails), one per prefix e_0..e_{cut-1},
+    from the levels above ``cut`` and the ``tails`` of level cut; root is the
+    (label, product) of the empty prefix."""
     prefix = [root] * cut  # prefix[k]: the label and product of e_0..e_{k-1}
     stack = [iter(live[0][start])]
     k = 0
@@ -220,8 +242,7 @@ def _descend(live, start, cut, tails, letters, weight, modulus, root):
             head = label + letters[k][e]
             c_head = c * weight[e] % modulus
             if k == last:
-                for tail, w in tails[s]:
-                    yield head + tail, c_head * w % modulus
+                yield head, c_head, tails[s]
             else:
                 k += 1
                 prefix[k] = head, c_head

@@ -12,7 +12,7 @@ expanding f^{p-1} symbolically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .algebra import (
     ExtensionField,
@@ -24,8 +24,8 @@ from .algebra import (
 )
 from .geometry import (
     SupportSet,
+    representation_blocks,
     representation_coefficients,
-    representation_terms,
 )
 from .reports import Text, VerificationReport
 
@@ -56,16 +56,17 @@ def symbolic_entry(support: SupportSet, u, v, p) -> SparseLaurentPoly:
 
 def symbolic_entry_text(support: SupportSet, u, v, p) -> Text:
     """symbolic_entry(support, u, v, p).canonical_str() as a Text, with no
-    polynomial: the representation walk runs as the Text is read, and each
-    term's text is its coefficient and its walk label, one piece per term.
+    polynomial: the representation walk runs as the Text is read, each
+    term's text is its coefficient and its walk label, and the terms of one
+    block of the walk (one prefix at its cut) make one piece.
     """
     return Text(_entry_pieces(support.lifted, _target(u, v, p), p))
 
 
 def _entry_pieces(lifted, target, p):
     separator = ""
-    for label, c in representation_terms(lifted, target, p, _power_text):
-        yield f"{separator}{c}{label}"
+    for head, c, tails in representation_blocks(lifted, target, p, _power_text):
+        yield separator + " + ".join([f"{c * w % p}{head}{tail}" for tail, w in tails])
         separator = " + "
     if not separator:
         yield "0"
@@ -80,12 +81,12 @@ def _target(u, v, p):
     return tuple(p * a - b for a, b in zip((*u, 1), (*v, 1)))
 
 
-@dataclass(frozen=True)
-class HWMatrixSymbolic:
-    support: SupportSet
-    p: int
-    labels: tuple  # interior vectors indexing rows/columns
-    entries: tuple  # tuple of tuples of SparseLaurentPoly
+class HWMatrixSymbolic(namedtuple("HWMatrixSymbolic", "support p labels entries")):
+    """The symbolic matrix of ``support`` at ``p``: ``labels`` are the
+    interior vectors indexing rows and columns, ``entries`` a tuple of tuples
+    of SparseLaurentPoly."""
+
+    __slots__ = ()
 
 
 def symbolic_matrix(support: SupportSet, p) -> HWMatrixSymbolic:
@@ -114,7 +115,7 @@ def scaled_matrix(A: HWMatrixSymbolic) -> HWMatrixSymbolic:
             delta[j] += 1
             scaled.append(poly.shift(delta))
         entries.append(tuple(scaled))
-    return replace(A, entries=tuple(entries))
+    return A._replace(entries=tuple(entries))
 
 
 def generic_det(support: SupportSet, p):

@@ -12,8 +12,7 @@ every exponent coordinate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 
 from .algebra import SparseLaurentPoly
@@ -78,12 +77,12 @@ def euler_apply(lifted, coord, beta, f: SparseLaurentPoly) -> SparseLaurentPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    poly: SparseLaurentPoly  # exact coefficients: int, or Fraction where not integral
-    i: int
-    j: int  # equal to i for the underlying logarithmic series itself
-    depth: int
+class TruncatedSeries(namedtuple("TruncatedSeries", "poly i j depth")):
+    """A series to ``depth``: ``poly`` has exact coefficients, an int or a
+    Fraction where not integral, and ``j`` equals ``i`` for the underlying
+    logarithmic series itself."""
+
+    __slots__ = ()
 
 
 def series_Gi(support: SupportSet, i, depth) -> TruncatedSeries:
@@ -103,7 +102,13 @@ def series_Gi(support: SupportSet, i, depth) -> TruncatedSeries:
         num = (-1) ** (t - 1) * math.factorial(t - 1)
         den = math.prod(math.factorial(x) for k, x in enumerate(l) if k != i)
         q, r = divmod(num, den)
-        terms[l] = Fraction(num, den) if r else q
+        if r:
+            # imported here: at module level it would slow every command's start-up
+            from fractions import Fraction
+
+            terms[l] = Fraction(num, den)
+        else:
+            terms[l] = q
     return TruncatedSeries(
         poly=SparseLaurentPoly(support.N, None, terms), i=i, j=i, depth=depth
     )

@@ -3,17 +3,16 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 
-@dataclass
 class VerificationReport:
     """Outcome of checking one named statement, with the witnesses examined."""
 
-    statement: str
-    passed: bool
-    witnesses: dict = field(default_factory=dict)
-    seconds: float = 0.0
+    def __init__(self, statement, passed, witnesses=None, seconds=0.0):
+        self.statement = statement
+        self.passed = passed
+        self.witnesses = {} if witnesses is None else witnesses
+        self.seconds = seconds
 
     def to_dict(self):
         return {

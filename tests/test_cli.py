@@ -383,7 +383,7 @@ def calls_before_a_hasse_witt_name(monkeypatch, argv, watched):
 
 def test_hw_symbolic_computes_first_through_a_hasse_witt_name_in_cli(monkeypatch):
     argv = ["hw-symbolic", "--preset", "quartic-full", "--p", "5"]
-    watched = [geometry.representation_terms]
+    watched = [geometry.representation_terms, geometry.representation_blocks]
     assert calls_before_a_hasse_witt_name(monkeypatch, argv, watched) == []
 
 
@@ -391,6 +391,22 @@ def test_generic_det_computes_first_through_a_hasse_witt_name_in_cli(monkeypatch
     argv = ["generic-det", "--preset", "quartic-full", "--p", "5"]
     watched = [geometry.representation_coefficients, algebra.det_leibniz]
     assert calls_before_a_hasse_witt_name(monkeypatch, argv, watched) == []
+
+
+def test_import_of_the_cli_loads_no_heavy_module():
+    # the modules that the import adds to those of a bare interpreter, so a
+    # site hook that loads one of them anyway cannot fail the test
+    env = dict(os.environ, PYTHONPATH=str(Path(hassewitt.__file__).parents[1]))
+    code = (
+        "import sys; before = set(sys.modules); import hassewitt.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    added = set(proc.stdout.split())
+    assert "hassewitt.cli" in added
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal"}
+    assert not added & heavy
 
 
 def test_closed_stdout_process_exit_141_without_traceback():

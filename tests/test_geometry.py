@@ -35,6 +35,20 @@ FERMAT_RAW = [(3, 0, 0), (0, 3, 0), (0, 0, 3)]
 # -- interior set -------------------------------------------------------------
 
 
+def test_support_set_is_an_immutable_hashable_record():
+    a = SupportSet.build(2, 3, HESSE_RAW)
+    b = SupportSet.build(2, 3, [list(x) for x in HESSE_RAW])
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert (a.n, a.d, a.m, a.u_contained, a.N) == (2, 3, 1, True, 4)
+    assert a.lifted == lift(a.exponents)
+    with pytest.raises(AttributeError):
+        a.m = 2
+    with pytest.raises(AttributeError):
+        a.extra = 0
+    assert a != SupportSet.build(2, 3, FERMAT_RAW)
+
+
 def test_interior_examples():
     assert enumerate_interior(3, 2) == [(1, 1, 1)]
     assert enumerate_interior(4, 2) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -177,7 +176,7 @@ def test_lemma_suites_report_a_mutant_entry(hesse, monkeypatch, suite):
     added, violations = LEMMA_MUTANTS[suite]
     A = symbolic_matrix(hesse, 5)
     entry = plus(A.entries[0][0], SparseLaurentPoly(4, 5, added))
-    mutant = dataclasses.replace(A, entries=((entry,),))
+    mutant = A._replace(entries=((entry,),))
     monkeypatch.setattr(suites, "symbolic_matrix", lambda support, p: mutant)
     reports = {nm: suites.run_suites(hesse, 5, nm)[0] for nm in ("2.7", "2.8")}
     assert not reports[suite].passed
@@ -335,7 +334,7 @@ def test_generic_det_reports_a_mutant_entry(capsys, monkeypatch, preset, p):
     bump = mono((p - 1,) + (0,) * (support.N - 1), 1, p)
     rows = [list(row) for row in A.entries]
     rows[0][0] = plus(rows[0][0], bump)
-    mutant = dataclasses.replace(A, entries=tuple(tuple(r) for r in rows))
+    mutant = A._replace(entries=tuple(tuple(r) for r in rows))
     monkeypatch.setattr(hasse_witt, "symbolic_matrix", lambda support, p: mutant)
     assert main(["generic-det", "--preset", preset, "--p", str(p)]) == 1
     payload = json.loads(capsys.readouterr().out)

@@ -1,4 +1,4 @@
-import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -151,6 +151,21 @@ def test_Gi_rational_coefficients(quartic):
     coefficients = series_Gi(quartic, 0, 5).poly.terms.values()
     assert all(isinstance(c, int) or c.denominator > 1 for c in coefficients)
     assert Fraction(3, 2) in coefficients or Fraction(-3, 2) in coefficients
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_Gi_keeps_a_Fraction_exactly_where_not_integral(quartic, i):
+    depth = 8
+    terms = series_Gi(quartic, i, depth).poly.terms
+    rational = 0
+    for l, c in terms.items():
+        t = -l[i]
+        den = math.prod(math.factorial(x) for k, x in enumerate(l) if k != i)
+        exact = Fraction((-1) ** (t - 1) * math.factorial(t - 1), den)
+        assert c == exact
+        assert type(c) is (int if exact.denominator == 1 else Fraction)
+        rational += exact.denominator > 1
+    assert terms and 0 < rational < len(terms)
 
 
 def test_Gi_trivial_lattice():
@@ -352,7 +367,7 @@ def test_suite_3_4_fails_on_every_dropped_series_term(quartic, monkeypatch):
             if (gi.i, k) != (i, j):
                 return series
             terms = {e: c for e, c in series.poly.terms.items() if e != exp}
-            return dataclasses.replace(series, poly=P(quartic.N, None, terms))
+            return series._replace(poly=P(quartic.N, None, terms))
 
         monkeypatch.setattr(suites, "derivative_series", dropping)
         failures = suites.suite_3_4(quartic, p).witnesses["failures"]
@@ -525,6 +540,15 @@ def test_box_relations_built_once_per_run(hesse, monkeypatch):
     assert len(calls) == 1
     assert all(r.passed for r in reports)
     assert isinstance(suites._box_relations(hesse), tuple)
+
+
+def test_box_relations_cached_across_equal_supports():
+    suites._box_relations.cache_clear()
+    first = suites._box_relations(support_from_preset("hesse-cubic"))
+    hits = suites._box_relations.cache_info().hits
+    # a second build of the same support is an equal key, not a new one
+    assert suites._box_relations(support_from_preset("hesse-cubic")) is first
+    assert suites._box_relations.cache_info().hits == hits + 1
 
 
 def test_Li_enumerated_once_per_i_per_suite(quartic, monkeypatch):

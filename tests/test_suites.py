@@ -1,8 +1,6 @@
 """Suite-level behaviour: every suite fails on a seeded wrong input and names
 the mutated index, and every report is timed in one place."""
 
-import dataclasses
-
 import pytest
 
 from hassewitt import SparseLaurentPoly, hypergeometric, reports, suites
@@ -70,7 +68,7 @@ def _matrix_entry(monkeypatch, support, p):
     A = suites.symbolic_matrix(support, p)
     rows = [list(row) for row in A.entries]
     rows[I][J] = _flip(rows[I][J])
-    mutant = dataclasses.replace(A, entries=tuple(map(tuple, rows)))
+    mutant = A._replace(entries=tuple(map(tuple, rows)))
     monkeypatch.setattr(suites, "symbolic_matrix", lambda support, p: mutant)
     return [(I + 1, J + 1)]
 
@@ -166,6 +164,27 @@ def test_timed_sets_seconds_from_one_clock(monkeypatch):
     assert seen == [((1, 2), {"k": 3})]
     assert report.seconds == 2.5
     assert report.to_dict()["seconds"] == 2.5
+
+
+def test_reports_built_without_witnesses_hold_distinct_dicts():
+    a = reports.VerificationReport("s", True)
+    b = reports.VerificationReport(statement="s", passed=True)
+    assert a.witnesses == b.witnesses == {}
+    a.witnesses["x"] = 1
+    assert b.witnesses == {}
+    given = {"y": 2}
+    assert reports.VerificationReport("s", False, given).witnesses is given
+
+
+def test_report_to_dict_keys_and_rounding():
+    report = reports.VerificationReport("s", False, {"k": [1]}, 1.23456789)
+    assert report.seconds == 1.23456789
+    report.seconds = 0.1234564  # mutable: timed stamps it after the check
+    out = report.to_dict()
+    assert list(out) == ["statement", "passed", "witnesses", "seconds"]
+    assert out == {"statement": "s", "passed": False, "witnesses": {"k": [1]},
+                   "seconds": 0.123456}
+    assert reports.VerificationReport("s", True).to_dict()["seconds"] == 0.0
 
 
 def test_run_suites_times_every_suite(hesse, monkeypatch):
