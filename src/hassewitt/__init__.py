@@ -15,7 +15,6 @@ from .geometry import (
     enumerate_representations,
     kernel_basis,
     representation_coefficients,
-    representation_terms,
 )
 from .hasse_witt import (
     HypothesisViolation,
@@ -59,7 +58,6 @@ __all__ = [
     "kernel_basis",
     "oracle_dense_coefficient",
     "representation_coefficients",
-    "representation_terms",
     "rho_truncation",
     "run_suites",
     "scaled_matrix",

@@ -287,9 +287,6 @@ class PackedPoly:
         self.width = width
         self.offsets = tuple(offsets)
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def coefficient(self, exp):
         """The coefficient at the exponent ``exp``: one lookup of its packed
         key, and 0 where a coordinate lies outside its field."""

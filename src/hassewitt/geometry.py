@@ -101,6 +101,12 @@ class SupportSet(
     def lifted(self):
         return lift(self.exponents)
 
+    @property
+    def weights(self):
+        """w_k = |a_k|^2 over the exponents a_k: every nonzero l in L_i has
+        w.l > 0 (suites 2.9 and 2.11)."""
+        return tuple(sum(x * x for x in a) for a in self.exponents)
+
     def interior_set(self):
         return enumerate_interior(self.d, self.n)
 
@@ -127,24 +133,13 @@ def representation_coefficients(lifted, target, p):
     }
 
 
-def representation_terms(lifted, target, p, letter):
-    """The terms of representation_coefficients(lifted, target, p) as an
-    iterator of (label, coefficient) pairs in the same order, where the label
-    of e is letter(0, e_0) + ... + letter(N-1, e_{N-1}): a str or a tuple.
-    """
-    return (
-        (head + tail, c * w % p)
-        for head, c, tails in representation_blocks(lifted, target, p, letter)
-        for tail, w in tails
-    )
-
-
 def representation_blocks(lifted, target, p, letter):
-    """The terms of representation_terms(lifted, target, p, letter) in
-    blocks, one per prefix at the walk's cut: an iterator of (head, c,
-    tails), whose terms are (head + tail, c * w % p) for the (tail, w) of
-    the nonempty list ``tails``, in order.  Lists are shared between blocks
-    and must not be changed."""
+    """The terms of representation_coefficients(lifted, target, p), each
+    labelled letter(0, e_0) + ... + letter(N-1, e_{N-1}) (a str or a
+    tuple), in blocks, one per prefix at the walk's cut: an iterator of
+    (head, c, tails), whose terms are (head + tail, c * w % p) for the
+    (tail, w) of the nonempty list ``tails``, in order.  Lists are shared
+    between blocks and must not be changed."""
     target = tuple(target)
     if not target or target[-1] != p - 1:
         raise ValueError(f"target {target} does not end in p - 1 = {p - 1}")

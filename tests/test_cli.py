@@ -383,7 +383,7 @@ def calls_before_a_hasse_witt_name(monkeypatch, argv, watched):
 
 def test_hw_symbolic_computes_first_through_a_hasse_witt_name_in_cli(monkeypatch):
     argv = ["hw-symbolic", "--preset", "quartic-full", "--p", "5"]
-    watched = [geometry.representation_terms, geometry.representation_blocks]
+    watched = [geometry.representation_blocks]
     assert calls_before_a_hasse_witt_name(monkeypatch, argv, watched) == []
 
 
@@ -770,11 +770,9 @@ SEXTIC = {
 }
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["generic-det"], ["verify"], ["verify", "--suite", "2.11"]],
-    ids=["generic-det", "verify-all", "verify-2.11"],
-)
+# only generic-det expands a determinant: verify decides Prop 2.11 by the
+# certificate of hasse_witt.generic_det_check at every m
+@pytest.mark.parametrize("argv", [["generic-det"]], ids=["generic-det"])
 def test_determinant_over_the_bound_exit_2(tmp_path, capsys, argv):
     path = write_config(tmp_path, **SEXTIC)
     code, out, err = run_cli(capsys, *argv, "--config", path)
@@ -783,11 +781,7 @@ def test_determinant_over_the_bound_exit_2(tmp_path, capsys, argv):
     assert "m = 10" in err and "bound 8" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["generic-det"], ["verify"], ["verify", "--suite", "2.11"]],
-    ids=["generic-det", "verify-all", "verify-2.11"],
-)
+@pytest.mark.parametrize("argv", [["generic-det"]], ids=["generic-det"])
 def test_determinant_over_the_work_bound_exit_2(capsys, monkeypatch, argv):
     # quintic-full at p = 5 has m = 6 but rows whose term counts multiply to
     # 2.6e15: the expansion is refused before it starts
@@ -799,6 +793,34 @@ def test_determinant_over_the_work_bound_exit_2(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("config error: ") and "DET_WORK_BOUND" in err
+
+
+def test_verify_runs_every_suite_over_the_determinant_bound(tmp_path, capsys):
+    path = write_config(tmp_path, **SEXTIC)
+    code, out, _ = run_cli(capsys, "verify", "--config", path, "--p", "5")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert len(reports) == 8 and all(r["passed"] for r in reports)
+    (prop_2_11,) = [r for r in reports if r["statement"] == "prop-2.11"]
+    assert prop_2_11["witnesses"]["matrix_size"] == 10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--preset", "quintic-full", "--p", "5", "--suite", "2.11"],
+     ["--preset", "quartic-full", "--p", "3", "--suite", "all"]],
+    ids=["quintic-full-5-2.11", "quartic-full-3-all"],
+)
+def test_verify_expands_no_determinant(capsys, monkeypatch, argv):
+    # quintic-full at p = 5 is over DET_WORK_BOUND for generic-det
+    def refused(mat):
+        raise AssertionError("det_leibniz was called")
+
+    for module in (algebra, hasse_witt):
+        monkeypatch.setattr(module, "det_leibniz", refused)
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == 0
+    assert all(r["passed"] for r in json.loads(out)["reports"])
 
 
 def test_box_suite_runs_over_the_determinant_bound(tmp_path, capsys):
@@ -921,15 +943,6 @@ def traced_peak(argv):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def test_suite_2_11_streams_its_texts_as_generic_det_does():
-    # suite 2.11 writes the same det A and det B texts as generic-det; joined
-    # before they are written, they raise its peak by about a quarter
-    args = ["--preset", "quartic-full", "--p", "5"]
-    generic_det = traced_peak(["generic-det", *args])
-    suite = traced_peak(["verify", *args, "--suite", "2.11"])
-    assert suite <= 1.05 * generic_det
 
 
 def test_generic_det_peaks_near_its_determinant():

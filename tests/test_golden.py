@@ -157,11 +157,11 @@ def test_golden_hw_eval(tmp_path, capsys, name):
 ARGV_GOLDEN = {
     "verify-hesse-cubic-5": (
         ["verify", "--preset", "hesse-cubic", "--p", "5", "--suite", "all"],
-        0, "f14f5168a1e46d3228d259564b2e982a0acdd6cb6d670a3c5054eaa71585cbaf",
+        0, "72f1e9b3b8a6eb543fe9a5dc445e074daf6e9dfb2367189e0801a9b27b45ea32",
     ),
     "verify-quartic-full-3": (
         ["verify", "--preset", "quartic-full", "--p", "3", "--suite", "all"],
-        0, "74a9ed5d63c4a8469511218f8ecc7b1c831a5661d81dcdb5dd87182a20f7ce4c",
+        0, "05e2d9ce161cd0ec127996c3b7f391fef4833f807509aa332502b0cf1f82b0e0",
     ),
     "series-quartic-full-3-i1-j2": (
         ["series", "--preset", "quartic-full", "--p", "3", "--i", "1", "--j", "2"],

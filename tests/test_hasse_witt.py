@@ -204,8 +204,12 @@ def test_generic_det_hesse_p5(hesse):
     w = rep.witnesses
     assert w["det_B_constant_term"] == 1
     assert w["det_A_nonzero"] and "scaling_identity" not in w
+    # B = 1 + 4*L1^-3*L2*L3*L4, one term of weight 3*9 - 3*3 = 18
+    assert w["terms_checked"] == 2 and w["light_terms"] == []
+    assert "det_A" not in w and "det_B" not in w
     # det A = L1^4 + 4*L1*L2*L3*L4 (1x1 matrix)
-    assert joined(w["det_A"]) == "4*L1^1*L2^1*L3^1*L4^1 + 1*L1^4*L2^0*L3^0*L4^0"
+    _, text_A, _ = hasse_witt.generic_det(hesse, 5)
+    assert joined(text_A) == "4*L1^1*L2^1*L3^1*L4^1 + 1*L1^4*L2^0*L3^0*L4^0"
 
 
 def test_generic_det_quartic_p3(quartic):
@@ -235,10 +239,10 @@ def test_det_B_is_det_A_times_a_monomial(preset, p):
 
 
 def test_generic_det_matches_cofactor_oracle(quartic):
-    w = generic_det_check(quartic, 3).witnesses
+    _, text_A, text_B = hasse_witt.generic_det(quartic, 3)
     A = symbolic_matrix(quartic, 3)
-    assert joined(w["det_A"]) == det_cofactor(A.entries).canonical_str()
-    assert joined(w["det_B"]) == det_cofactor(scaled_matrix(A).entries).canonical_str()
+    assert joined(text_A) == det_cofactor(A.entries).canonical_str()
+    assert joined(text_B) == det_cofactor(scaled_matrix(A).entries).canonical_str()
 
 
 @pytest.mark.parametrize("preset,p", [("hesse-cubic", 3), ("hesse-cubic", 5), ("quartic-full", 2)])
@@ -247,22 +251,16 @@ def test_generic_det_texts_match_cofactor_oracle(preset, p):
     # so its packed keys carry a nonzero offset
     support = support_from_preset(preset)
     A = symbolic_matrix(support, p)
-    ct, nonzero, text_A, text_B = hasse_witt.generic_det(support, p)
+    ct, text_A, text_B = hasse_witt.generic_det(support, p)
     det_A, det_B = det_cofactor(A.entries), det_cofactor(scaled_matrix(A).entries)
     assert joined(text_A) == det_A.canonical_str()
     assert joined(text_B) == det_B.canonical_str()
-    assert (ct, nonzero) == (det_B.constant_term(), not det_A.is_zero)
+    assert ct == det_B.constant_term() and not det_A.is_zero
     if preset == "hesse-cubic":
         assert det_leibniz(A.entries).offsets[0] > 0
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["generic-det", "--preset", "quartic-full", "--p", "5"],
-        ["verify", "--preset", "quartic-full", "--p", "3", "--suite", "2.11"],
-    ],
-)
+@pytest.mark.parametrize("argv", [["generic-det", "--preset", "quartic-full", "--p", "5"]])
 def test_generic_det_unpacks_no_exponent(capsys, monkeypatch, argv):
     # the m * m entries of A are the only polynomials built; the texts unpack
     # each run's head (m fields) and each term's tail (N - m fields), never a
@@ -315,6 +313,7 @@ def test_det_work_bound_admits_quartic_p7_and_refuses_quintic_p5():
     ],
 )
 def test_one_det_leibniz_per_generic_det(capsys, monkeypatch, argv):
+    # suite 2.11 decides Prop 2.11 with no expansion
     calls = []
     real = hasse_witt.det_leibniz
     monkeypatch.setattr(
@@ -322,7 +321,7 @@ def test_one_det_leibniz_per_generic_det(capsys, monkeypatch, argv):
     )
     assert main(argv) == 0
     capsys.readouterr()
-    assert len(calls) == 1
+    assert len(calls) == (argv[0] == "generic-det")
 
 
 # A mutant whose (1,1) entry gains 1 at the exponent (p-1)*e_1, the monomial
@@ -343,6 +342,48 @@ def test_generic_det_reports_a_mutant_entry(capsys, monkeypatch, preset, p):
     report = suites.run_suites(support, p, "2.11")[0]
     assert not report.passed
     assert report.witnesses["det_B_constant_term"] == 2
+
+
+@pytest.mark.parametrize(
+    "preset,p", sorted((pr, p) for cmd, pr, p in GOLDEN if cmd == "generic-det")
+)
+def test_certificate_matches_the_expansion(preset, p):
+    support = support_from_preset(preset)
+    report = generic_det_check(support, p)
+    ct, _, _ = hasse_witt.generic_det(support, p)
+    assert report.passed and report.witnesses["light_terms"] == []
+    assert report.witnesses["det_B_constant_term"] == ct == 1
+
+
+def test_det_mod_p_matches_cofactor():
+    rng = random.Random("det-mod-p")
+    for p in (2, 3, 5, 7):
+        for m in range(1, 6):
+            rows = [[rng.randrange(-p, 2 * p) for _ in range(m)] for _ in range(m)]
+            polys = [[const(1, x, p) for x in row] for row in rows]
+            expected = det_cofactor(polys).constant_term() % p
+            assert hasse_witt._det_mod_p(rows, p) == expected
+    assert hasse_witt._det_mod_p([[0, 1], [1, 0]], 5) == 4  # one row swap
+    assert hasse_witt._det_mod_p([[1, 2], [2, 4]], 7) == 0
+
+
+# A mutant that only the weight step catches: A_11 of hesse-cubic at p = 5
+# gains the monomial L1*L4, whose exponent (-3, 0, 0, 1) in B has weight
+# -3*3 + 9 = 0.  It is not a constant term, so det(ct B) stays 1.
+def test_generic_det_check_names_a_light_term(capsys, monkeypatch, hesse):
+    p = 5
+    A = symbolic_matrix(hesse, p)
+    mutant = A._replace(entries=((plus(A.entries[0][0], mono((1, 0, 0, 1), 1, p)),),))
+    monkeypatch.setattr(hasse_witt, "symbolic_matrix", lambda support, p: mutant)
+    report = generic_det_check(hesse, p)
+    assert not report.passed
+    w = report.witnesses
+    assert w["light_terms"] == [(0, 0, (-3, 0, 0, 1))]
+    assert w["det_B_constant_term"] == 1 and not w["det_A_nonzero"]
+    assert main(["verify", "--preset", "hesse-cubic", "--p", "5", "--suite", "2.11"]) == 1
+    (printed,) = json.loads(capsys.readouterr().out)["reports"]
+    assert printed["passed"] is False
+    assert printed["witnesses"]["light_terms"] == [[0, 0, [-3, 0, 0, 1]]]
 
 
 # -- evaluation ----------------------------------------------------------------------
