@@ -94,13 +94,18 @@ def series_Gi(support: SupportSet, i, depth) -> TruncatedSeries:
         raise ValueError(f"index {i} is not an interior-monomial index")
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    # on L_i, l_i < 0 <= l_k for k != i and sum_k l_k = 0, so the positive
+    # coordinates are the denominator's and none exceeds -l_i <= depth
+    fact = [1]
+    for x in range(1, depth + 1):
+        fact.append(fact[-1] * x)
     terms = {}
     for l in enumerate_Li(support.lifted, i, depth):
         t = -l[i]
         if t == 0:
             continue
-        num = (-1) ** (t - 1) * math.factorial(t - 1)
-        den = math.prod(math.factorial(x) for k, x in enumerate(l) if k != i)
+        num = (-1) ** (t - 1) * fact[t - 1]
+        den = math.prod(fact[x] for x in l if x > 0)
         q, r = divmod(num, den)
         if r:
             # imported here: at module level it would slow every command's start-up

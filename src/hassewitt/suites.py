@@ -2,7 +2,7 @@
 
 Each suite checks one statement family and returns a VerificationReport
 whose ``statement`` id matches the CLI ``--suite`` vocabulary.  Suites are
-deterministic given (support, p, seed).
+deterministic given (support, p); only the oracle draws a seeded point.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import functools
 import operator
 import random
 
-from .algebra import ExtensionField
+from .algebra import ExtensionField, SparseLaurentPoly
 from .geometry import (
     SupportSet,
     enumerate_Li,
@@ -29,15 +29,11 @@ from .hasse_witt import (
 from .hypergeometric import (
     derivative_series,
     rho_truncation,
-    rho_window,
     series_Gi,
-    trunc,
     verify_hypergeometric_solution,
     verify_truncation_identity,
 )
 from .reports import VerificationReport, timed
-
-LEMMA_3_7_RANDOM_WINDOWS = 2  # seeded random windows per derivative series
 
 
 @functools.lru_cache(maxsize=1)
@@ -181,40 +177,39 @@ def suite_3_4(support: SupportSet, p, depth=None, **_):
     )
 
 
-def suite_3_7(support: SupportSet, p, seed=0, **_):
-    """Truncations of the derivative series over the distinguished window,
-    the zero window, and seeded random windows with entries in [-2, 1] are
-    exact mod-p solutions; the derivative/truncation commutation congruence
-    is exercised separately on random polynomials by the test suite.
+def suite_3_7(support: SupportSet, p, **_):
+    """The truncation mod p of d/dL_j(log L_i + G_i) over each window
+    p*r <= s < p*(r + 1) that holds a term, with r_i >= -2, is a mod-p
+    solution.  G_i to depth 2p holds every term of such a window; for j = i
+    its l_i = -2p term falls in an r_i = -3 window, held only in part.
     """
     _require_interior_monomial(support, "lemma-3.7")
     lifted = support.lifted
-    N = support.N
     relations = _box_relations(support)
-    rng = random.Random(seed)
-    depth = 2 * p + 2  # covers every window coordinate down to -2p
     failures = []
     windows_checked = 0
     for i in range(support.m):
-        gi = series_Gi(support, i, depth)
+        gi = series_Gi(support, i, 2 * p)
         for j in range(support.m):
-            series = derivative_series(gi, j).poly.reduce_mod(p)
-            windows = [rho_window(N, i), (0,) * N]
-            windows += [
-                tuple(rng.randint(-2, 1) for _ in range(N))
-                for _ in range(LEMMA_3_7_RANDOM_WINDOWS)
-            ]
+            windows = {}
+            for s, c in derivative_series(gi, j).poly.reduce_mod(p).terms.items():
+                r = tuple(x // p for x in s)
+                if r[i] >= -2:
+                    windows.setdefault(r, {})[s] = c
             beta = tuple(-x for x in lifted[j])
-            for r in windows:
-                truncated = trunc(r, series, p)
+            for r in sorted(windows):
                 passed, detail = verify_hypergeometric_solution(
-                    truncated, beta, relations, lifted, mode="mod-p"
+                    SparseLaurentPoly(support.N, p, windows[r]),
+                    beta,
+                    relations,
+                    lifted,
+                    mode="mod-p",
                 )
-                windows_checked += 1
                 if not passed:
                     failures.append(
                         {"i": i + 1, "j": j + 1, "window": list(r), "detail": detail}
                     )
+            windows_checked += len(windows)
     return VerificationReport(
         statement="lemma-3.7",
         passed=not failures,

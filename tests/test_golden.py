@@ -157,11 +157,11 @@ def test_golden_hw_eval(tmp_path, capsys, name):
 ARGV_GOLDEN = {
     "verify-hesse-cubic-5": (
         ["verify", "--preset", "hesse-cubic", "--p", "5", "--suite", "all"],
-        0, "72f1e9b3b8a6eb543fe9a5dc445e074daf6e9dfb2367189e0801a9b27b45ea32",
+        0, "bffd0f3a108d8810db536d560ee313e00fb19c16b7153439c497d64303520396",
     ),
     "verify-quartic-full-3": (
         ["verify", "--preset", "quartic-full", "--p", "3", "--suite", "all"],
-        0, "05e2d9ce161cd0ec127996c3b7f391fef4833f807509aa332502b0cf1f82b0e0",
+        0, "6036a5a2b3a8123b7cff18a2586e6d975acbf3494e0965c66f65075ce4820c8c",
     ),
     "series-quartic-full-3-i1-j2": (
         ["series", "--preset", "quartic-full", "--p", "3", "--i", "1", "--j", "2"],

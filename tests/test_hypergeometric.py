@@ -562,7 +562,7 @@ def test_Li_enumerated_once_per_i_per_suite(quartic, monkeypatch):
         )
     assert all(r.passed for r in suites.run_suites(quartic, 3))
     assert len(calls) == 4 * quartic.m == 12
-    assert len(set(calls)) == 2 * quartic.m  # depth p for 2.9, 3.4, 3.8; 2p+2 for 3.7
+    assert len(set(calls)) == 2 * quartic.m  # depth p for 2.9, 3.4, 3.8; 2p for 3.7
 
 
 def test_truncation_identity_needs_depth_p(quartic):

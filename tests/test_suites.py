@@ -6,7 +6,7 @@ import math
 import pytest
 
 from hassewitt import SparseLaurentPoly, hypergeometric, reports, suites
-from hassewitt.hypergeometric import rho_window
+from hassewitt.hypergeometric import rho_window, trunc
 
 from conftest import support_from_preset
 
@@ -37,21 +37,34 @@ def _outside_Li(monkeypatch, support, p):
     return [(I, outsider)]
 
 
-def _truncation(monkeypatch, support, p):
-    # suite 3.7 truncates windows [rho, zero, random...] for each (i, j) in
-    # order; flip the rho-window truncation of (I, J)
-    real = suites.trunc
-    per_pair = 2 + suites.LEMMA_3_7_RANDOM_WINDOWS
-    target = (I * support.m + J) * per_pair
-    calls = []
+def _window_term(monkeypatch, support, p, r_i):
+    # flip the first term, nonzero mod p, of the derivative series of (I, J)
+    # in a window with r_I = r_i; suite 3.7 checks each window on its own,
+    # so exactly that window fails
+    real = suites.derivative_series
+    series = real(suites.series_Gi(support, I, 2 * p), J).poly
+    target = min(s for s, c in series.terms.items() if c % p and s[I] // p == r_i)
 
-    def flipping(r, f, p):
-        calls.append(r)
-        out = real(r, f, p)
-        return _flip(out) if len(calls) - 1 == target else out
+    def flipping(gi, j):
+        out = real(gi, j)
+        if (gi.i, j) != (I, J):
+            return out
+        terms = dict(out.poly.terms)
+        terms[target] = -terms[target]
+        return out._replace(poly=SparseLaurentPoly(out.poly.nvars, None, terms))
 
-    monkeypatch.setattr(suites, "trunc", flipping)
-    return [(I + 1, J + 1, list(rho_window(support.N, I)))]
+    monkeypatch.setattr(suites, "derivative_series", flipping)
+    return [(I + 1, J + 1, [x // p for x in target])]
+
+
+def _rho_window_term(monkeypatch, support, p):
+    expected = _window_term(monkeypatch, support, p, -1)
+    assert expected == [(I + 1, J + 1, list(rho_window(support.N, I)))]
+    return expected
+
+
+def _deep_window_term(monkeypatch, support, p):
+    return _window_term(monkeypatch, support, p, -2)
 
 
 def _truncation_identity_entry(monkeypatch, support, p):
@@ -87,16 +100,22 @@ def _oracle_coefficient(monkeypatch, support, p):
     return [(I, J)]
 
 
-# suite -> (mutation, the indices a failing report names)
+def _windows(w):
+    return [(f["i"], f["j"], f["window"]) for f in w["failures"]]
+
+
+# test id -> (suite, mutation, the indices a failing report names)
 MUTATIONS = {
-    "2.9": (_outside_Li, lambda w: w["certificate_failures"]),
-    "3.7": (_truncation, lambda w: [(f["i"], f["j"], f["window"]) for f in w["failures"]]),
+    "2.9": ("2.9", _outside_Li, lambda w: w["certificate_failures"]),
+    "3.7": ("3.7", _rho_window_term, _windows),
+    "3.7-deep-window": ("3.7", _deep_window_term, _windows),
     "3.8": (
+        "3.8",
         _truncation_identity_entry,
         lambda w: [(e["i"], e["j"]) for e in w["entries"] if not e["signs"]],
     ),
-    "3.11": (_matrix_entry, lambda w: [(f["i"], f["j"]) for f in w["failures"]]),
-    "oracle-eq": (_oracle_coefficient, lambda w: w["mismatches"]),
+    "3.11": ("3.11", _matrix_entry, lambda w: [(f["i"], f["j"]) for f in w["failures"]]),
+    "oracle-eq": ("oracle-eq", _oracle_coefficient, lambda w: w["mismatches"]),
 }
 
 
@@ -107,14 +126,52 @@ def _run(support, suite):
     return report
 
 
-@pytest.mark.parametrize("suite", sorted(MUTATIONS))
-def test_suites_name_a_seeded_mutant(quartic, monkeypatch, suite):
+@pytest.mark.parametrize("case", sorted(MUTATIONS))
+def test_suites_name_a_seeded_mutant(quartic, monkeypatch, case):
+    suite, mutate, culprits = MUTATIONS[case]
     assert _run(quartic, suite).passed
-    mutate, culprits = MUTATIONS[suite]
     expected = mutate(monkeypatch, quartic, PRESET_P)
     report = _run(quartic, suite)
     assert not report.passed
     assert culprits(report.witnesses) == expected
+
+
+@pytest.mark.parametrize("preset,p,windows", [("quartic-full", 3, 27), ("hesse-cubic", 5, 1)])
+def test_suite_3_7_checks_the_windows_that_hold_terms(monkeypatch, preset, p, windows):
+    # each polynomial suite 3.7 checks is nonzero and equals trunc of its
+    # series mod p over its window, and the windows are exactly those that
+    # hold a term with r_i >= -2; the reference series is two deeper than the
+    # suite's, so a window the suite holds only in part would differ
+    support = support_from_preset(preset)
+    checked = []
+    pair = []
+    real_series = suites.derivative_series
+    real_verify = suites.verify_hypergeometric_solution
+
+    def series(gi, j):
+        pair[:] = [gi.i, j]
+        return real_series(gi, j)
+
+    def verify(f, *args, **kwargs):
+        checked.append((*pair, f))
+        return real_verify(f, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "derivative_series", series)
+    monkeypatch.setattr(suites, "verify_hypergeometric_solution", verify)
+    (report,) = suites.run_suites(support, p, "3.7")
+    assert report.passed
+    assert report.witnesses["windows_checked"] == len(checked) == windows
+    assert all(not f.is_zero for _, _, f in checked)
+    got = {(i, j, tuple(x // p for x in min(f.terms))): f for i, j, f in checked}
+    assert len(got) == len(checked)
+    for i in range(support.m):
+        gi = hypergeometric.series_Gi(support, i, 2 * p + 2)
+        for j in range(support.m):
+            mod_p = real_series(gi, j).poly.reduce_mod(p)
+            held = {tuple(x // p for x in s) for s in mod_p.terms if s[i] // p >= -2}
+            assert {r for a, b, r in got if (a, b) == (i, j)} == held
+            for r in held:
+                assert got[i, j, r] == trunc(r, mod_p, p)
 
 
 @pytest.mark.parametrize(
