@@ -184,9 +184,15 @@ def specialize(poly, point, k, field):
 
     Every x_k exponent of the support is a key, even where its coefficient
     cancels to zero, so that evaluate_laurent still refuses x_k = 0 when a
-    term has a negative x_k exponent.  Each factor point[j]**e is one field
-    operation (a product on the discrete log); a 0 substituted into a
-    variable with a negative exponent raises ZeroDivisionError.
+    term has a negative x_k exponent.  The work is on discrete logs, with
+    q - 1 for zero: a term's value is the log of c mod p plus one dot
+    product of its exponent with the logs of the point (x_k's log counted
+    as 0), and adding it to its x_k coefficient is one Zech lookup
+    (_zech_add).  Elements are built only for the returned coefficients.
+    A fixed coordinate that is 0 zeroes the terms where its exponent is
+    positive and raises ZeroDivisionError where it is negative; a fixed
+    coordinate outside ``field`` raises ValueError where its exponent is
+    nonzero.
     """
     if len(point) != poly.nvars:
         raise ValueError("point has wrong length")
@@ -194,29 +200,68 @@ def specialize(poly, point, k, field):
         raise ValueError("field characteristic does not match modulus")
     if not 0 <= k < poly.nvars:
         raise ValueError(f"variable index {k} out of range for {poly.nvars} variables")
+    p, n, zech, int_log = field.p, field.q - 1, field._zech, field._int_log
+    logs, zeros, foreign = [0] * poly.nvars, [], []
+    for j, x in enumerate(point):
+        if j == k:
+            continue
+        if not _in_field(x, field):
+            foreign.append(j)
+        elif x.k == n:
+            zeros.append(j)
+        else:
+            logs[j] = x.k
+    if foreign and any(exp[j] for exp in poly.terms for j in foreign):
+        raise ValueError("operands lie in different fields")
     out = {}
+    get = out.get
     for exp, c in poly.terms.items():
-        val = field.from_int(c)
-        for j, e in enumerate(exp):
-            if e and j != k:
-                val = val * point[j] ** e
+        t = int_log[c % p]
+        for j in zeros:
+            if exp[j] < 0:
+                raise ZeroDivisionError("inversion of 0 in GF(q)")
+            if exp[j]:
+                t = n
+        if t != n:
+            t = (t + sum(map(operator.mul, exp, logs))) % n
         e = exp[k]
-        out[e] = out[e] + val if e in out else val
-    return out
+        prev = get(e)
+        out[e] = t if prev is None else _zech_add(zech, n, prev, t)
+    return {e: ExtensionFieldElement(field, t) for e, t in out.items()}
 
 
 def evaluate_laurent(coeffs, x, field):
     """Value at x of the Laurent polynomial sum_e coeffs[e] * x**e (a dict as
-    returned by specialize), by Horner's rule.  A negative exponent with
-    x = 0 raises ZeroDivisionError from the final x**lo."""
+    returned by specialize), by Horner's rule on discrete logs: each step is
+    one addition of x's log and, where the step has a coefficient, one Zech
+    lookup (_zech_add); one element is built, for the value.  A negative
+    exponent with x = 0 raises ZeroDivisionError, and a coefficient or a
+    used x outside ``field`` raises ValueError."""
     if not coeffs:
         return field.zero()
+    if not all(_in_field(c, field) for c in coeffs.values()):
+        raise ValueError("operands lie in different fields")
     lo, hi = min(coeffs), max(coeffs)
-    zero = field.zero()
-    acc = coeffs[hi]
+    if (lo, hi) == (0, 0):
+        return coeffs[0]
+    if not _in_field(x, field):
+        raise ValueError("operands lie in different fields")
+    n, zech, xk = field.q - 1, field._zech, x.k
+    if xk == n:
+        # every power of x but x**0 is 0
+        if lo < 0:
+            raise ZeroDivisionError("inversion of 0 in GF(q)")
+        return coeffs[0] if lo == 0 else field.zero()
+    acc = coeffs[hi].k
     for e in range(hi - 1, lo - 1, -1):
-        acc = acc * x + coeffs.get(e, zero)
-    return acc * x**lo if lo else acc
+        if acc != n:
+            acc = (acc + xk) % n
+        c = coeffs.get(e)
+        if c is not None:
+            acc = _zech_add(zech, n, acc, c.k)
+    if lo and acc != n:
+        acc = (acc + lo * xk) % n
+    return ExtensionFieldElement(field, acc)
 
 
 DET_BOUND = 8
@@ -587,6 +632,8 @@ class ExtensionField:
         self.q = p**a
         self.modulus = find_irreducible(p, a)
         self._coeffs, self._log, self._zech = _log_tables(p, a)
+        # the log of each residue mod p, the prime field's elements
+        self._int_log = tuple(self._log[(c,) + (0,) * (a - 1)] for c in range(p))
 
     def element(self, coeffs) -> "ExtensionFieldElement":
         coeffs = [c % self.p for c in coeffs]
@@ -597,7 +644,7 @@ class ExtensionField:
         )
 
     def from_int(self, c) -> "ExtensionFieldElement":
-        return self.element([c])
+        return ExtensionFieldElement(self, self._int_log[c % self.p])
 
     def zero(self):
         return ExtensionFieldElement(self, self.q - 1)
@@ -623,9 +670,28 @@ class ExtensionField:
         return f"ExtensionField(p={self.p}, a={self.a})"
 
 
+def _in_field(x, field):
+    """Whether x is an element of ``field``."""
+    return isinstance(x, ExtensionFieldElement) and (
+        x.field is field or x.field == field
+    )
+
+
+def _zech_add(zech, n, i, j):
+    """The log of g^i + g^j in GF(n + 1), for logs i and j in [0, n] with n
+    standing for 0, from the field's table zech[m] = log(1 + g^m): the one
+    rule by which this module adds two elements."""
+    if i == n:
+        return j
+    if j == n:
+        return i
+    z = zech[(j - i) % n]
+    return n if z == n else (i + z) % n
+
+
 class ExtensionFieldElement:
     """Element of GF(p^a), held as its discrete log k (q - 1 for zero): a
-    product adds logs, and a sum is one Zech-log lookup."""
+    product adds logs, and a sum is one Zech-log lookup (_zech_add)."""
 
     __slots__ = ("field", "k")
 
@@ -634,21 +700,15 @@ class ExtensionFieldElement:
         self.k = k
 
     def _check(self, other):
-        if not isinstance(other, ExtensionFieldElement) or (
-            other.field is not self.field and other.field != self.field
-        ):
+        if not _in_field(other, self.field):
             raise ValueError("operands lie in different fields")
 
     def __add__(self, other):
         self._check(other)
         field = self.field
-        n = field.q - 1
-        if self.k == n:
-            return other
-        if other.k == n:
-            return self
-        z = field._zech[(other.k - self.k) % n]
-        return ExtensionFieldElement(field, n if z == n else (self.k + z) % n)
+        return ExtensionFieldElement(
+            field, _zech_add(field._zech, field.q - 1, self.k, other.k)
+        )
 
     def __sub__(self, other):
         return self + -other

@@ -246,11 +246,16 @@ def sweep_ranks(A: HWMatrixSymbolic, point, k, field: ExtensionField):
     ``field``, in the order of ``field.elements()``.
 
     Every entry is specialized once to a Laurent polynomial in x_k, then
-    evaluated by Horner's rule at each element, so a sweep costs about
-    terms*N + q*m^2*p field multiplications rather than q*terms*N.  As a
-    witness, the specialized entries at the base value point[k] must equal
+    evaluated by Horner's rule at each element, both on discrete logs (see
+    algebra.specialize): one log dot product and one Zech lookup per term,
+    and one log addition and at most one Zech lookup per Horner step, below
+    q*m^2*p steps in all.  The ranks are taken by matrix_rank on element
+    objects, whose few products need no log kernel.  As a witness, the
+    specialized entries at the base value point[k] must equal
     evaluate_matrix at ``point``, which leaves coordinate 0 free instead of
     k; a mismatch raises, since it would mean the substitution is broken.
+    The witness runs the same per-term kernel, so a fault in that kernel
+    shows only against oracle_dense_coefficient.
     A point of the wrong length or a field of the wrong characteristic
     raises ValueError, as in evaluate_matrix.
     """

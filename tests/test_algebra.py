@@ -494,6 +494,51 @@ def test_specialize_rejects_bad_arguments():
         specialize(f, (ExtensionField(3, 1).one(),) * 2, 0, ExtensionField(3, 1))
 
 
+def test_specialize_reduces_integer_coefficients():
+    # coefficients negative, >= p and = 0 mod p; each coordinate of a term
+    # whose coefficient is 0 mod p also occurs in a term whose coefficient
+    # is not, so the reduction keeps every x_k exponent of the support
+    rng = random.Random(20261020)
+    for p in (3, 5):
+        f = P(3, None, {
+            (2, 0, -1): -1, (0, 1, 1): p + 2, (1, 1, 0): -2 * p - 1,
+            (1, 0, 0): 3 * p + 1, (2, 1, 1): p, (0, 0, -1): -p,
+        })
+        reduced = f.reduce_mod(p)
+        assert len(reduced.terms) == len(f.terms) - 2
+        for F in (ExtensionField(p, 1), ExtensionField(p, 2)):
+            pool = list(F.elements())
+            raised = 0
+            for _ in range(40):
+                point = tuple(rng.choice(pool) for _ in range(3))
+                for k in range(3):
+                    try:
+                        expected = specialize(reduced, point, k, F)
+                    except ZeroDivisionError:
+                        raised += 1
+                        with pytest.raises(ZeroDivisionError):
+                            specialize(f, point, k, F)
+                        continue
+                    assert specialize(f, point, k, F) == expected
+                    assert set(expected) == {e[k] for e in f.terms}
+            assert raised > 0
+
+
+def test_specialize_and_horner_refuse_elements_of_another_field():
+    F, G = ExtensionField(3, 2), ExtensionField(3, 1)
+    f = P(3, 3, {(1, 2, 0): 1, (0, 1, 0): 2})  # x2 has exponent 0 throughout
+    coeffs = specialize(f, (F.one(), F.one(), G.one()), 0, F)
+    assert evaluate_laurent(coeffs, F.one(), F) == F.zero()
+    with pytest.raises(ValueError):
+        specialize(f, (F.one(), G.one(), F.one()), 0, F)
+    with pytest.raises(ValueError):
+        specialize(f, (F.one(), 1, F.one()), 0, F)
+    with pytest.raises(ValueError):
+        evaluate_laurent(coeffs, G.one(), F)
+    with pytest.raises(ValueError):
+        evaluate_laurent({0: G.one(), 1: F.one()}, F.one(), F)
+
+
 # -- extension fields ---------------------------------------------------------
 
 

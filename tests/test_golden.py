@@ -139,6 +139,20 @@ HW_EVAL_GOLDEN = {
         "hesse-cubic", 7, 1, [1, 2, 3, 0], ["--sweep", "k=4"],
         0, "165882d12946d544cf95312b53384a66ff773702dde5f57b6fe622a6f34aa22b",
     ),
+    # a zero in a fixed coordinate (lambda_5), not the swept one; ranks 2 and 3
+    "sweep-quartic-gf9-zero-k2": (
+        "quartic-full", 3, 2,
+        ["1,2", "0,1", "2,0", "1,1", "0,0", "2,2", "1,0", "0,2", "2,1", "1,2",
+         "2,0", "0,1", "1,1", "2,2", "1,0"],
+        ["--sweep", "k=2"],
+        0, "7135efe9bf6f5fcb8edb63d1807e78b78738c7b311906d992b73c136bc3e0218",
+    ),
+    # a 3x3 prime-field sweep; ranks 2 and 3
+    "sweep-quartic-gf7-k7": (
+        "quartic-full", 7, 1, [3, 1, 4, 1, 5, 2, 6, 5, 3, 5, 0, 2, 6, 4, 3],
+        ["--sweep", "k=7"],
+        0, "451ea2fc2ce886d59ec8c60660aafbd9ee018a411e84d971e70e9060a67c69d8",
+    ),
 }
 
 

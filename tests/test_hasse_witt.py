@@ -1,7 +1,9 @@
+import inspect
 import itertools
 import json
 import math
 import random
+import textwrap
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -565,3 +567,50 @@ def test_sweep_ranks_witness_catches_broken_specialization(hesse, monkeypatch):
     monkeypatch.setattr(hw, "specialize", off_by_one)
     with pytest.raises(RuntimeError):
         sweep_ranks(A, point, 1, F)
+
+
+# Faults seeded into the per-term step of algebra.specialize, as (line of the
+# kernel, line that replaces it).  The base-point witness of sweep_ranks runs
+# the same kernel and cannot see them; the dense oracle must.
+KERNEL_MUTANTS = {
+    # the first term of each entry is off by one in its log
+    "log-plus-one": (
+        "t = (t + sum(map(operator.mul, exp, logs))) % n",
+        "t = (t + sum(map(operator.mul, exp, logs)) + (not out)) % n",
+    ),
+    # a fixed coordinate that is 0 is taken for 1
+    "zero-rule-dropped": ("zeros.append(j)", "pass"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(KERNEL_MUTANTS))
+def test_dense_oracle_catches_a_kernel_mutant(quartic, monkeypatch, mutant):
+    p, a, k = 3, 2, 1
+    field = ExtensionField(p, a)
+    rng = random.Random("kernel-mutant")
+    pool = [x for x in field.elements() if x]
+    base = [rng.choice(pool) for _ in range(quartic.N)]
+    base[4] = field.zero()  # a fixed coordinate: neither x_0 nor x_k
+    base = tuple(base)
+    A = symbolic_matrix(quartic, p)
+    dense = [
+        _rank_by_minors([
+            [oracle_dense_coefficient(quartic, point, p, u, v, field) for v in A.labels]
+            for u in A.labels
+        ])
+        for point in (base[:k] + (x,) + base[k + 1:] for x in field.elements())
+    ]
+    assert sweep_ranks(A, base, k, field) == dense
+    assert suites.oracle_equivalence(quartic, p, a, point=base).passed
+
+    source = textwrap.dedent(inspect.getsource(algebra.specialize))
+    line, replacement = KERNEL_MUTANTS[mutant]
+    assert source.count(line) == 1
+    namespace = dict(vars(algebra))
+    exec(source.replace(line, replacement), namespace)
+    monkeypatch.setattr(algebra, "specialize", namespace["specialize"])
+    monkeypatch.setattr(hasse_witt, "specialize", namespace["specialize"])
+
+    report = suites.oracle_equivalence(quartic, p, a, point=base)
+    assert not report.passed and report.witnesses["mismatches"]
+    assert sweep_ranks(A, base, k, field) != dense
