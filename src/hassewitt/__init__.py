@@ -30,6 +30,7 @@ from .hypergeometric import (
     box_apply,
     derivative_series,
     euler_apply,
+    lucas_windows,
     rho_truncation,
     series_Gi,
     trunc,
@@ -56,6 +57,7 @@ __all__ = [
     "evaluate_matrix",
     "generic_det_check",
     "kernel_basis",
+    "lucas_windows",
     "oracle_dense_coefficient",
     "representation_coefficients",
     "rho_truncation",

@@ -126,6 +126,9 @@ def representation_coefficients(lifted, target, p):
     """{e: (p-1)! / (e_0! ... e_{N-1}!) mod p} over the e of
     enumerate_representations(lifted, target), in the same lex order, for a
     target whose last coordinate is p - 1 (so every e sums to p - 1)."""
+    target = tuple(target)
+    if not target or target[-1] != p - 1:
+        raise ValueError(f"target {target} does not end in p - 1 = {p - 1}")
     return {
         head + tail: c * w % p
         for head, c, tails in representation_blocks(lifted, target, p, _coordinate)
@@ -134,18 +137,20 @@ def representation_coefficients(lifted, target, p):
 
 
 def representation_blocks(lifted, target, p, letter):
-    """The terms of representation_coefficients(lifted, target, p), each
-    labelled letter(0, e_0) + ... + letter(N-1, e_{N-1}) (a str or a
-    tuple), in blocks, one per prefix at the walk's cut: an iterator of
-    (head, c, tails), whose terms are (head + tail, c * w % p) for the
-    (tail, w) of the nonempty list ``tails``, in order.  Lists are shared
-    between blocks and must not be changed."""
+    """The terms {e: sigma! / (e_0! ... e_{N-1}!) mod p} over the e of
+    enumerate_representations(lifted, target), for a target whose last
+    coordinate sigma is below p (so every e sums to sigma), each labelled
+    letter(0, e_0) + ... + letter(N-1, e_{N-1}) (a str or a tuple), in
+    blocks, one per prefix at the walk's cut: an iterator of (head, c,
+    tails), whose terms are (head + tail, c * w % p) for the (tail, w) of
+    the nonempty list ``tails``, in order.  Lists are shared between blocks
+    and must not be changed."""
     target = tuple(target)
-    if not target or target[-1] != p - 1:
-        raise ValueError(f"target {target} does not end in p - 1 = {p - 1}")
+    if not target or not 0 <= target[-1] < p:
+        raise ValueError(f"target {target} does not end in 0..p - 1 = {p - 1}")
     return _walk(
         lifted, target, letter, inverse_factorial_table(p), p,
-        factorial_table(p)[p - 1],
+        factorial_table(p)[target[-1]],
     )
 
 

@@ -6,17 +6,19 @@ Series are represented as depth-limited SparseLaurentPoly values with exact
 coefficients: G_i's are rational, and the derivative series built from it
 are integral.  The depth bounds -l_i for the lattice parameters that
 generate the terms, which (together with the sign pattern of L_i) bounds
-every exponent coordinate.
+every exponent coordinate.  The mod-p windows of Lemma 3.7 are built
+directly from Lucas's theorem, with no series (lucas_windows).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from functools import lru_cache
 
 from .algebra import SparseLaurentPoly
-from .geometry import SupportSet, enumerate_Li, is_relation
+from .geometry import SupportSet, enumerate_Li, is_relation, representation_blocks
 from .hasse_witt import symbolic_entry
 from .reports import VerificationReport
 
@@ -33,29 +35,61 @@ def _falling(s, m):
     return (-1) ** m * math.perm(m - 1 - s, m)
 
 
-def _add_derivative(out, f, active, sign):
-    """Add sign times the terms of prod_k (d/dL_k)^m f, over the (k, m)
-    pairs of ``active``, by falling factorials on exponents, into the dict
-    ``out``, unreduced.  Each term visits only the coordinates in
-    ``active``."""
-    for exp, c in f.terms.items():
-        c *= sign
-        new_exp = list(exp)
-        for k, m in active:
-            c *= _falling(exp[k], m)
-            new_exp[k] -= m
-        if c:
-            new_exp = tuple(new_exp)
-            out[new_exp] = out.get(new_exp, 0) + c
+class _FallingTable(dict):
+    """{s: s(s-1)...(s-m+1)} for one order m, exact when p is None and
+    reduced mod p otherwise, filled on first use.  The product is a
+    polynomial in s with integer coefficients, so mod p it depends only on
+    s mod p, and each entry is computed from s mod p."""
+
+    __slots__ = ("m", "p")
+
+    def __init__(self, p, m):
+        super().__init__()
+        self.p = p
+        self.m = m
+
+    def __missing__(self, s):
+        p = self.p
+        x = self[s] = _falling(s, self.m) if p is None else _falling(s % p, self.m) % p
+        return x
+
+
+@lru_cache(maxsize=None)
+def _falling_table(p, m):
+    return _FallingTable(p, m)
+
+
+@lru_cache(maxsize=None)
+def _box_sides(l, modulus):
+    """The two monomial derivative operators of the relation l, d^{l+} and
+    d^{l-}, as (sign, factors, shift): the (k, falling-factorial table of
+    order m) pairs of the side's (k, m), and the exponent vector it lowers
+    each term by."""
+    sides = []
+    for sign, orders in ((1, l), (-1, tuple(-x for x in l))):
+        shift = tuple(max(x, 0) for x in orders)
+        factors = tuple((k, _falling_table(modulus, m)) for k, m in enumerate(shift) if m)
+        sides.append((sign, factors, shift))
+    return tuple(sides)
 
 
 def box_apply(l, f: SparseLaurentPoly) -> SparseLaurentPoly:
     """Difference of the two monomial derivative operators of the relation
-    l, d^{l+} f - d^{l-} f, applied from the signed coordinates of l and
-    accumulated into one term dict."""
+    l, d^{l+} f - d^{l-} f, by falling factorials on exponents read from
+    one table per order, accumulated into one term dict.  A term stops at
+    its first factor 0, after one lookup."""
     out = {}
-    _add_derivative(out, f, [(k, x) for k, x in enumerate(l) if x > 0], 1)
-    _add_derivative(out, f, [(k, -x) for k, x in enumerate(l) if x < 0], -1)
+    get = out.get
+    for sign, factors, shift in _box_sides(tuple(l), f.modulus):
+        for exp, c in f.terms.items():
+            for k, table in factors:
+                x = table[exp[k]]
+                if not x:
+                    break
+                c *= x
+            else:
+                exp = tuple(map(operator.sub, exp, shift))
+                out[exp] = get(exp, 0) + sign * c
     return SparseLaurentPoly(f.nvars, f.modulus, out)
 
 
@@ -158,6 +192,65 @@ def rho_window(N, i):
     r = [0] * N
     r[i] = -1
     return tuple(r)
+
+
+def lucas_windows(support: SupportSet, i, j, p):
+    """{r: the truncation mod p of d/dL_j(log L_i + G_i) over the window
+    p*r <= s < p*(r + 1)} over the windows with r_i >= -2 that hold a term,
+    built window by window from Lucas's theorem, with no series.
+
+    The series' coefficient of L^s is (-1)^S * S! / prod_{k != i} s_k!,
+    S = sum_{k != i} s_k, over the s with s_k >= 0 for k != i,
+    s_i = -1 - S and sum_k s_k * lifted[k] = -lifted[j].  Write
+    s_k = p*r_k + d_k with 0 <= d_k < p.  By Lucas's theorem the
+    multinomial is 0 mod p unless the digits d_k (k != i) sum to some
+    sigma < p, and then it is sigma! / prod d_k! times the multinomial of
+    the r_k.  So S = p*R + sigma with R = sum_{k != i} r_k, and
+    s_i = -1 - p*R - sigma lies in the window r_i = -1 - R: r_i >= -2
+    leaves the window -e_i (R = 0) and the windows e_k - 2*e_i, k != i
+    (R = 1), whose multinomial of the r_k is 1.  For each window and sigma
+    the digits d are the representations, over the columns k != i, of
+    -lifted[j] - s_i * lifted[i] - p * sum_{k != i} r_k * lifted[k], whose
+    last coordinate is sigma, and each term's coefficient is
+    (-1)^(R + sigma) * sigma! / prod d_k! mod p: (-1)^(p*R) = (-1)^R for
+    odd p, and mod 2 the sign does not matter.
+    """
+    if not (0 <= i < support.m and 0 <= j < support.m):
+        raise ValueError(f"({i}, {j}) are not interior-monomial indices")
+    lifted = support.lifted
+    N = support.N
+    others = [k for k in range(N) if k != i]
+    columns = [lifted[k] for k in others]
+    rho = rho_window(N, i)
+    windows = [(rho, (0,) * len(lifted[i]))]  # (r, p * sum_{k != i} r_k * lifted[k])
+    for k in others:
+        r = list(rho)
+        r[i], r[k] = -2, 1
+        windows.append((tuple(r), tuple(p * x for x in lifted[k])))
+    out = {}
+    for r, image in windows:
+        R = -1 - r[i]
+        high = [p * r[k] for k in others]  # s_k = high[c] + d_k, k = others[c]
+
+        def letter(c, d, high=high):
+            # with no column (N = 1) _walk still reads the label type here
+            return (high[c] + d,) if high else ()
+
+        terms = {}
+        for sigma in range(p):
+            s_i = -1 - p * R - sigma
+            target = [-a - s_i * b - h for a, b, h in zip(lifted[j], lifted[i], image)]
+            if min(target) < 0:
+                continue  # the columns are nonnegative: no representation
+            sign = -1 if (R + sigma) % 2 else 1
+            for head, c, tails in representation_blocks(columns, target, p, letter):
+                c *= sign
+                for tail, w in tails:
+                    label = head + tail
+                    terms[label[:i] + (s_i,) + label[i:]] = c * w % p
+        if terms:
+            out[r] = SparseLaurentPoly(N, p, terms)
+    return out
 
 
 def trunc(r, f: SparseLaurentPoly, p) -> SparseLaurentPoly:

@@ -11,7 +11,7 @@ import functools
 import operator
 import random
 
-from .algebra import ExtensionField, SparseLaurentPoly
+from .algebra import ExtensionField
 from .geometry import (
     SupportSet,
     enumerate_Li,
@@ -28,6 +28,7 @@ from .hasse_witt import (
 )
 from .hypergeometric import (
     derivative_series,
+    lucas_windows,
     rho_truncation,
     series_Gi,
     verify_hypergeometric_solution,
@@ -180,8 +181,8 @@ def suite_3_4(support: SupportSet, p, depth=None, **_):
 def suite_3_7(support: SupportSet, p, **_):
     """The truncation mod p of d/dL_j(log L_i + G_i) over each window
     p*r <= s < p*(r + 1) that holds a term, with r_i >= -2, is a mod-p
-    solution.  G_i to depth 2p holds every term of such a window; for j = i
-    its l_i = -2p term falls in an r_i = -3 window, held only in part.
+    solution.  Each window is built on its own from Lucas's theorem
+    (hypergeometric.lucas_windows): -e_i and the e_k - 2*e_i, k != i.
     """
     _require_interior_monomial(support, "lemma-3.7")
     lifted = support.lifted
@@ -189,21 +190,12 @@ def suite_3_7(support: SupportSet, p, **_):
     failures = []
     windows_checked = 0
     for i in range(support.m):
-        gi = series_Gi(support, i, 2 * p)
         for j in range(support.m):
-            windows = {}
-            for s, c in derivative_series(gi, j).poly.reduce_mod(p).terms.items():
-                r = tuple(x // p for x in s)
-                if r[i] >= -2:
-                    windows.setdefault(r, {})[s] = c
+            windows = lucas_windows(support, i, j, p)
             beta = tuple(-x for x in lifted[j])
             for r in sorted(windows):
                 passed, detail = verify_hypergeometric_solution(
-                    SparseLaurentPoly(support.N, p, windows[r]),
-                    beta,
-                    relations,
-                    lifted,
-                    mode="mod-p",
+                    windows[r], beta, relations, lifted, mode="mod-p"
                 )
                 if not passed:
                     failures.append(

@@ -5,8 +5,19 @@ from hassewitt.algebra import factorial_table, inverse_factorial_table
 from hassewitt.cli import PRESETS
 
 
+# the sextic plane curve: all ten interior monomials and the Fermat terms
+SEXTIC = {
+    "n": 2,
+    "d": 6,
+    "p": 7,
+    "exponents": [[a, b, 6 - a - b] for a in range(1, 5) for b in range(1, 6 - a)]
+    + [[6, 0, 0], [0, 6, 0], [0, 0, 6]],
+}
+
+
 def support_from_preset(name):
-    cfg = PRESETS[name]
+    """The support of a CLI preset, or of SEXTIC for "sextic"."""
+    cfg = SEXTIC if name == "sextic" else PRESETS[name]
     return SupportSet.build(cfg["n"], cfg["d"], cfg["exponents"])
 
 

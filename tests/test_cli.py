@@ -18,7 +18,7 @@ from hassewitt import algebra, cli, geometry, hasse_witt
 from hassewitt.cli import PRESETS, main
 from hassewitt.reports import Text
 
-from conftest import strip_seconds, support_from_preset
+from conftest import SEXTIC, strip_seconds, support_from_preset
 from test_golden import RAW_GOLDEN
 
 
@@ -524,6 +524,10 @@ def test_bench_tracer_installs_and_counts_relations(tmp_path):
     calls, _ = trace["spans"]["algebra.canonical_str"]
     assert calls > 0  # the span is entered at install time, so read its calls
     assert trace["counts"]["suites.box_relations.used"] > 0
+    # the per-layer metrics of the box kernel read real work
+    for span in ("hypergeometric.box_apply", "hypergeometric.verify_hypergeometric_solution"):
+        calls, _ = trace["spans"][span]
+        assert calls > 0, span
 
 
 @pytest.mark.parametrize(
@@ -758,16 +762,6 @@ def test_presets_use_only_accepted_keys():
     from hassewitt.cli import CONFIG_KEYS, PRESETS
 
     assert all(set(cfg) <= set(CONFIG_KEYS) for cfg in PRESETS.values())
-
-
-# the sextic plane curve: all ten interior monomials and the Fermat terms
-SEXTIC = {
-    "n": 2,
-    "d": 6,
-    "p": 7,
-    "exponents": [[a, b, 6 - a - b] for a in range(1, 5) for b in range(1, 6 - a)]
-    + [[6, 0, 0], [0, 6, 0], [0, 0, 6]],
-}
 
 
 # only generic-det expands a determinant: verify decides Prop 2.11 by the

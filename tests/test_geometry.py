@@ -211,6 +211,21 @@ def test_walk_coefficients_need_a_target_ending_in_p_minus_1():
             representation_coefficients(lifted, target, 5)
 
 
+def test_walk_blocks_take_a_digit_sum_below_p():
+    # a target ending in sigma < p weighs each e by sigma! / prod e_k! mod p
+    lifted = lift(HESSE_RAW)
+
+    def terms(target, p):
+        blocks = geometry.representation_blocks(lifted, target, p, lambda k, e: (e,))
+        return {head + tail: c * w % p for head, c, tails in blocks for tail, w in tails}
+
+    assert terms((3, 3, 3, 3), 5) == {(0, 0, 0, 3): 1, (1, 1, 1, 0): 1}  # 3!/3! and 3! = 6
+    assert terms((0, 0, 0, 0), 2) == {(0, 0, 0, 0): 1}
+    for target in [(5, 5, 5, 5), (0, 0, 0, -1), ()]:
+        with pytest.raises(ValueError, match="does not end in"):
+            terms(target, 5)
+
+
 def test_representations_leave_no_reference_cycles(quartic):
     p = 7
     u, v = quartic.interior_set()[0], quartic.interior_set()[-1]

@@ -38,23 +38,24 @@ def _outside_Li(monkeypatch, support, p):
 
 
 def _window_term(monkeypatch, support, p, r_i):
-    # flip the first term, nonzero mod p, of the derivative series of (I, J)
-    # in a window with r_I = r_i; suite 3.7 checks each window on its own,
-    # so exactly that window fails
-    real = suites.derivative_series
-    series = real(suites.series_Gi(support, I, 2 * p), J).poly
-    target = min(s for s, c in series.terms.items() if c % p and s[I] // p == r_i)
+    # flip the first term of the windows of (I, J) with r_I = r_i, as the
+    # window construction hands them to suite 3.7; the suite checks each
+    # window on its own, so exactly that window fails
+    real = suites.lucas_windows
+    held = real(support, I, J, p)
+    target = min(s for r, f in held.items() if r[I] == r_i for s in f.terms)
+    window = tuple(x // p for x in target)
 
-    def flipping(gi, j):
-        out = real(gi, j)
-        if (gi.i, j) != (I, J):
-            return out
-        terms = dict(out.poly.terms)
-        terms[target] = -terms[target]
-        return out._replace(poly=SparseLaurentPoly(out.poly.nvars, None, terms))
+    def flipping(support, i, j, p):
+        out = real(support, i, j, p)
+        if (i, j) == (I, J):
+            terms = dict(out[window].terms)
+            terms[target] = -terms[target]
+            out[window] = SparseLaurentPoly(support.N, p, terms)
+        return out
 
-    monkeypatch.setattr(suites, "derivative_series", flipping)
-    return [(I + 1, J + 1, [x // p for x in target])]
+    monkeypatch.setattr(suites, "lucas_windows", flipping)
+    return [(I + 1, J + 1, list(window))]
 
 
 def _rho_window_term(monkeypatch, support, p):
@@ -136,27 +137,38 @@ def test_suites_name_a_seeded_mutant(quartic, monkeypatch, case):
     assert culprits(report.witnesses) == expected
 
 
-@pytest.mark.parametrize("preset,p,windows", [("quartic-full", 3, 27), ("hesse-cubic", 5, 1)])
+@pytest.mark.parametrize(
+    "preset,p,windows",
+    [
+        ("quartic-full", 2, 27),
+        ("quartic-full", 3, 27),
+        ("quartic-full", 5, 27),
+        ("hesse-cubic", 5, 1),
+        ("quintic-full", 3, 162),
+        ("sextic", 5, 310),
+    ],
+)
 def test_suite_3_7_checks_the_windows_that_hold_terms(monkeypatch, preset, p, windows):
     # each polynomial suite 3.7 checks is nonzero and equals trunc of its
     # series mod p over its window, and the windows are exactly those that
     # hold a term with r_i >= -2; the reference series is two deeper than the
-    # suite's, so a window the suite holds only in part would differ
+    # depth 2p that holds every such window, so a window built only in part
+    # would differ
     support = support_from_preset(preset)
     checked = []
     pair = []
-    real_series = suites.derivative_series
+    real_windows = suites.lucas_windows
     real_verify = suites.verify_hypergeometric_solution
 
-    def series(gi, j):
-        pair[:] = [gi.i, j]
-        return real_series(gi, j)
+    def lucas_windows(support, i, j, p):
+        pair[:] = [i, j]
+        return real_windows(support, i, j, p)
 
     def verify(f, *args, **kwargs):
         checked.append((*pair, f))
         return real_verify(f, *args, **kwargs)
 
-    monkeypatch.setattr(suites, "derivative_series", series)
+    monkeypatch.setattr(suites, "lucas_windows", lucas_windows)
     monkeypatch.setattr(suites, "verify_hypergeometric_solution", verify)
     (report,) = suites.run_suites(support, p, "3.7")
     assert report.passed
@@ -167,11 +179,22 @@ def test_suite_3_7_checks_the_windows_that_hold_terms(monkeypatch, preset, p, wi
     for i in range(support.m):
         gi = hypergeometric.series_Gi(support, i, 2 * p + 2)
         for j in range(support.m):
-            mod_p = real_series(gi, j).poly.reduce_mod(p)
+            mod_p = hypergeometric.derivative_series(gi, j).poly.reduce_mod(p)
             held = {tuple(x // p for x in s) for s in mod_p.terms if s[i] // p >= -2}
             assert {r for a, b, r in got if (a, b) == (i, j)} == held
             for r in held:
                 assert got[i, j, r] == trunc(r, mod_p, p)
+
+
+def test_suite_3_7_builds_no_series(quartic, monkeypatch):
+    def refused(*args):
+        raise AssertionError("suite 3.7 built a series")
+
+    monkeypatch.setattr(suites, "series_Gi", refused)
+    monkeypatch.setattr(suites, "derivative_series", refused)
+    (report,) = suites.run_suites(quartic, PRESET_P, "3.7")
+    assert report.passed
+    assert report.witnesses["windows_checked"] == 27
 
 
 @pytest.mark.parametrize(
