@@ -392,8 +392,7 @@ def cmd_trunc(args, cfg, support):
 
 
 def cmd_verify(args, cfg, support):
-    options = {"depth": cfg["depth"]} if cfg.get("depth") else {}
-    reports = run_suites(support, cfg["p"], args.suite, **options)
+    reports = run_suites(support, cfg["p"], args.suite, depth=cfg.get("depth"))
     _emit({"reports": [r.to_dict() for r in reports]}, args.out)
     return 0 if all(r.passed for r in reports) else 1
 

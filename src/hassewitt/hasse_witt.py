@@ -149,13 +149,14 @@ def generic_det(support: SupportSet, p):
     return ct, Text(pieces_A()), Text(kept)
 
 
-def generic_det_check(support: SupportSet, p) -> VerificationReport:
-    """Prop 2.11 by the paper's proof, with no determinant expanded.  By
-    Lemma 2.7 every term of row i of the rescaled matrix B has its exponent
-    in L_i, and with the weights w_k = |a_k|^2 every nonzero l in L_i has
-    w.l > 0 (suite 2.9).  A product B_{0,s(0)} ... B_{m-1,s(m-1)} then
-    reaches exponent 0 only through the constant terms of its factors, so
-    ct(det B) = det(ct B), which Lemma 2.8 (ct B = I) makes 1.
+def generic_det_check(B: HWMatrixSymbolic) -> VerificationReport:
+    """Prop 2.11 by the paper's proof, with no determinant expanded, for
+    the rescaled matrix B = scaled_matrix(A).  By Lemma 2.7 every term of
+    row i of B has its exponent in L_i, and with the weights w_k = |a_k|^2
+    every nonzero l in L_i has w.l > 0 (suite 2.9).  A product
+    B_{0,s(0)} ... B_{m-1,s(m-1)} then reaches exponent 0 only through the
+    constant terms of its factors, so ct(det B) = det(ct B), which Lemma
+    2.8 (ct B = I) makes 1.
 
     The report checks on B itself the two facts the argument uses: every
     nonzero exponent l of every B_ij has w.l > 0 (``light_terms`` lists each
@@ -163,17 +164,16 @@ def generic_det_check(support: SupportSet, p) -> VerificationReport:
     light term, det(ct B) != 0 makes det B, and with it det A = det B *
     L^-delta, nonzero (Thm 2.3).
     """
-    _require_interior(support, "the generic determinant check")
-    B = scaled_matrix(symbolic_matrix(support, p)).entries
+    support, p, rows = B.support, B.p, B.entries
     weights = support.weights
     light = [
         (i, j, l)
-        for i, row in enumerate(B)
+        for i, row in enumerate(rows)
         for j, poly in enumerate(row)
         for l in poly.terms
         if any(l) and sum(map(operator.mul, weights, l)) <= 0
     ]
-    ct = _det_mod_p([[poly.constant_term() for poly in row] for row in B], p)
+    ct = _det_mod_p([[poly.constant_term() for poly in row] for row in rows], p)
     return VerificationReport(
         statement="prop-2.11",
         passed=not light and ct == 1,
@@ -182,7 +182,7 @@ def generic_det_check(support: SupportSet, p) -> VerificationReport:
             "matrix_size": support.m,
             "det_B_constant_term": ct,
             "det_A_nonzero": not light and ct != 0,
-            "terms_checked": sum(len(poly.terms) for row in B for poly in row),
+            "terms_checked": sum(len(poly.terms) for row in rows for poly in row),
             "light_terms": light,
         },
     )

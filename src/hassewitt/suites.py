@@ -1,8 +1,10 @@
 """Named verification suites over a single support/prime configuration.
 
 Each suite checks one statement family and returns a VerificationReport
-whose ``statement`` id matches the CLI ``--suite`` vocabulary.  Suites are
-deterministic given (support, p); only the oracle draws a seeded point.
+whose ``statement`` id matches the CLI ``--suite`` vocabulary.  The suites
+of one run_suites call share one _Run, which builds each input they read
+once.  Suites are deterministic given (support, p, depth); only the oracle
+draws a seeded point.
 """
 
 from __future__ import annotations
@@ -37,10 +39,35 @@ from .hypergeometric import (
 from .reports import VerificationReport, timed
 
 
-@functools.lru_cache(maxsize=1)
-def _box_relations(support: SupportSet):
-    """The Markov moves shared by suites 3.4, 3.7 and 3.11, built once."""
-    return tuple(enumerate_box_relations(support.lifted))
+class _Run:
+    """The inputs that the suites of one run share, each built on first use:
+    the Hasse-Witt matrix A (suite 3.11), its rescaling B (suites 2.7, 2.8
+    and 2.11), the Markov moves (suites 3.4, 3.7 and 3.11) and the series
+    G_i per (i, depth) (suites 3.4 and 3.8).  ``depth`` is that of suites
+    2.9 and 3.4, p unless given; suite 3.8 reads G_i at depth p."""
+
+    def __init__(self, support: SupportSet, p, depth=None):
+        self.support = support
+        self.p = p
+        self.depth = p if depth is None else depth
+        self._series = {}
+
+    @functools.cached_property
+    def A(self):
+        return symbolic_matrix(self.support, self.p)
+
+    @functools.cached_property
+    def B(self):
+        return scaled_matrix(self.A)
+
+    @functools.cached_property
+    def relations(self):
+        return tuple(enumerate_box_relations(self.support.lifted))
+
+    def series(self, i, depth):
+        if (i, depth) not in self._series:
+            self._series[i, depth] = series_Gi(self.support, i, depth)
+        return self._series[i, depth]
 
 
 def _relation_coverage(relations, N, p):
@@ -62,9 +89,9 @@ def _require_interior_monomial(support: SupportSet, statement):
         raise HypothesisViolation(f"{statement} needs an interior monomial in the support")
 
 
-def suite_2_7(support: SupportSet, p, **_):
-    B = scaled_matrix(symbolic_matrix(support, p))
-    lifted = support.lifted
+def suite_2_7(run: _Run):
+    B = run.B
+    lifted = run.support.lifted
     bad = [
         (i, j, l)
         for i, row in enumerate(B.entries)
@@ -76,12 +103,12 @@ def suite_2_7(support: SupportSet, p, **_):
     return VerificationReport(
         statement="lemma-2.7",
         passed=not bad,
-        witnesses={"p": p, "monomials_checked": monomials, "violations": bad},
+        witnesses={"p": run.p, "monomials_checked": monomials, "violations": bad},
     )
 
 
-def suite_2_8(support: SupportSet, p, **_):
-    B = scaled_matrix(symbolic_matrix(support, p))
+def suite_2_8(run: _Run):
+    B = run.B
     bad = [
         (i, j, ct)
         for i, row in enumerate(B.entries)
@@ -91,11 +118,11 @@ def suite_2_8(support: SupportSet, p, **_):
     return VerificationReport(
         statement="lemma-2.8",
         passed=not bad,
-        witnesses={"p": p, "entries_checked": len(B.entries) ** 2, "violations": bad},
+        witnesses={"p": run.p, "entries_checked": len(B.entries) ** 2, "violations": bad},
     )
 
 
-def suite_2_9(support: SupportSet, p, depth=None, **_):
+def suite_2_9(run: _Run):
     """Prop 2.9 on the depth-bounded sets: elements of L_1, ..., L_M sum to
     zero only when every summand is zero.  Every nonzero enumerated l is
     checked to be in L_i: l_i < 0 <= l_k (k != i) and
@@ -112,9 +139,8 @@ def suite_2_9(support: SupportSet, p, depth=None, **_):
     names each nonzero l with w.l <= 0: every nonzero tuple with zero sum
     holds one.
     """
+    support, depth = run.support, run.depth
     _require_interior_monomial(support, "prop-2.9")
-    if depth is None:
-        depth = p
     lifted = support.lifted
     weights = support.weights
     sets = [enumerate_Li(lifted, i, depth) for i in range(support.m)]
@@ -125,7 +151,7 @@ def suite_2_9(support: SupportSet, p, depth=None, **_):
         statement="prop-2.9",
         passed=not light and not cert_bad,
         witnesses={
-            "p": p,
+            "p": run.p,
             "depth": depth,
             "set_sizes": [len(s) for s in sets],
             "counterexamples": light,
@@ -134,24 +160,23 @@ def suite_2_9(support: SupportSet, p, depth=None, **_):
     )
 
 
-def suite_2_11(support: SupportSet, p, **_):
-    return generic_det_check(support, p)
+def suite_2_11(run: _Run):
+    return generic_det_check(run.B)
 
 
-def suite_3_4(support: SupportSet, p, depth=None, **_):
-    """Depth-p derivative series: integer coefficients, exact annihilation
-    by the homogeneity operators with the negated lifted column as
-    parameter, and box checks at every exponent on or above the
+def suite_3_4(run: _Run):
+    """Derivative series to the run's depth: integer coefficients, exact
+    annihilation by the homogeneity operators with the negated lifted
+    column as parameter, and box checks at every exponent on or above the
     truncation floor (see verify_hypergeometric_solution).
     """
+    support, p, depth = run.support, run.p, run.depth
     _require_interior_monomial(support, "prop-3.4")
-    if depth is None:
-        depth = p
     lifted = support.lifted
-    relations = _box_relations(support)
+    relations = run.relations
     failures = []
     for i in range(support.m):
-        gi = series_Gi(support, i, depth)
+        gi = run.series(i, depth)
         for j in range(support.m):
             series = derivative_series(gi, j)
             beta = tuple(-x for x in lifted[j])
@@ -178,15 +203,16 @@ def suite_3_4(support: SupportSet, p, depth=None, **_):
     )
 
 
-def suite_3_7(support: SupportSet, p, **_):
+def suite_3_7(run: _Run):
     """The truncation mod p of d/dL_j(log L_i + G_i) over each window
     p*r <= s < p*(r + 1) that holds a term, with r_i >= -2, is a mod-p
     solution.  Each window is built on its own from Lucas's theorem
     (hypergeometric.lucas_windows): -e_i and the e_k - 2*e_i, k != i.
     """
+    support, p = run.support, run.p
     _require_interior_monomial(support, "lemma-3.7")
     lifted = support.lifted
-    relations = _box_relations(support)
+    relations = run.relations
     failures = []
     windows_checked = 0
     for i in range(support.m):
@@ -215,16 +241,18 @@ def suite_3_7(support: SupportSet, p, **_):
     )
 
 
-def suite_3_8(support: SupportSet, p, **_):
+def suite_3_8(run: _Run):
     """Entrywise comparison of A_ij with the signed, shifted truncation of
     the derivative series; passes when every entry matches and one common
-    sign works for all of them."""
+    sign works for all of them.  G_i is read at depth p, the depth the
+    truncation needs, whatever the run's depth."""
+    support, p = run.support, run.p
     _require_interior_monomial(support, "prop-3.8")
     per_entry = []
     common = {"+", "-"}
     all_match = True
     for i in range(support.m):
-        gi = series_Gi(support, i, p)
+        gi = run.series(i, p)
         for j in range(support.m):
             rep = verify_truncation_identity(support, i, j, p, rho_truncation(gi, j, p))
             per_entry.append(rep.witnesses)
@@ -240,13 +268,14 @@ def suite_3_8(support: SupportSet, p, **_):
     )
 
 
-def suite_3_11(support: SupportSet, p, **_):
+def suite_3_11(run: _Run):
     """Every Hasse-Witt entry mod p is annihilated by the box operators of
     the Markov moves and by the homogeneity operators with the exact
     parameter p*u+ - v+ (congruent to the negated lifted column mod p)."""
+    support, p = run.support, run.p
     lifted = support.lifted
-    relations = _box_relations(support)
-    A = symbolic_matrix(support, p)
+    relations = run.relations
+    A = run.A
     failures = []
     for i, u in enumerate(A.labels):
         for j, v in enumerate(A.labels):
@@ -313,11 +342,13 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suites(support: SupportSet, p, which="all", **options):
+def run_suites(support: SupportSet, p, which="all", depth=None):
     """Run one suite or all of them, in canonical id order, each timed by
-    reports.timed."""
+    reports.timed.  The suites share one _Run; ``depth`` is that of suites
+    2.9 and 3.4, p when None."""
     names = SUITE_NAMES if which == "all" else (which,)
     unknown = [nm for nm in names if nm not in _SUITES]
     if unknown:
         raise ValueError(f"unknown suite(s): {unknown}")
-    return [timed(_SUITES[nm], support, p, **options) for nm in names]
+    run = _Run(support, p, depth)
+    return [timed(_SUITES[nm], run) for nm in names]

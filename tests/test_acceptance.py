@@ -46,7 +46,7 @@ def test_criterion_1_generic_invertibility():
     start = time.monotonic()
     ok = True
     for support, p in DET_CASES:
-        rep = generic_det_check(support, p)
+        rep = generic_det_check(scaled_matrix(symbolic_matrix(support, p)))
         w = rep.witnesses
         ok = ok and rep.passed and w["det_B_constant_term"] == 1 and w["det_A_nonzero"]
     elapsed = time.monotonic() - start

@@ -528,6 +528,12 @@ def test_bench_tracer_installs_and_counts_relations(tmp_path):
     for span in ("hypergeometric.box_apply", "hypergeometric.verify_hypergeometric_solution"):
         calls, _ = trace["spans"][span]
         assert calls > 0, span
+    # the run builds A once, through the names the tracer patched
+    assert trace["spans"]["hasse_witt.symbolic_matrix"][0] == 1
+    for span in ("hasse_witt.scaled_matrix", "hasse_witt.generic_det_check",
+                 "suites.suite_2_11", "geometry.enumerate_box_relations"):
+        calls, _ = trace["spans"][span]
+        assert calls >= 1, span
 
 
 @pytest.mark.parametrize(
@@ -636,6 +642,21 @@ def test_config_depth_zero_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--config", write_config(tmp_path, depth=0))
     assert code == 2
     assert "depth" in err
+
+
+@pytest.mark.parametrize("depth", [2, 4])
+def test_verify_config_depth_reaches_the_depth_suites(tmp_path, capsys, depth):
+    # suites 2.9 and 3.4 run at the config's depth; suite 3.8 reads G_i at
+    # depth p = 3 whatever it is, so a series shared across depths would
+    # fail it
+    path = write_config(tmp_path, depth=depth, **dict(PRESETS["quartic-full"], p=3))
+    code, out, _ = run_cli(capsys, "verify", "--config", path)
+    assert code == 0
+    reports = {r["statement"]: r for r in json.loads(out)["reports"]}
+    assert len(reports) == 8 and all(r["passed"] for r in reports.values())
+    assert reports["prop-2.9"]["witnesses"]["depth"] == depth
+    assert reports["prop-3.4"]["witnesses"]["depth"] == depth
+    assert reports["prop-3.8"]["passed"]
 
 
 def test_j_defaults_to_i(capsys):

@@ -200,8 +200,12 @@ def test_lemma_2_7_and_2_8_hesse(hesse, p):
 # -- generic determinant -----------------------------------------------------------
 
 
+def _check(support, p):
+    return generic_det_check(scaled_matrix(symbolic_matrix(support, p)))
+
+
 def test_generic_det_hesse_p5(hesse):
-    rep = generic_det_check(hesse, 5)
+    rep = _check(hesse, 5)
     assert rep.statement == "prop-2.11" and rep.passed
     w = rep.witnesses
     assert w["det_B_constant_term"] == 1
@@ -215,7 +219,7 @@ def test_generic_det_hesse_p5(hesse):
 
 
 def test_generic_det_quartic_p3(quartic):
-    rep = generic_det_check(quartic, 3)
+    rep = _check(quartic, 3)
     assert rep.passed
     assert rep.witnesses["matrix_size"] == 3
     assert rep.witnesses["det_B_constant_term"] == 1
@@ -223,7 +227,7 @@ def test_generic_det_quartic_p3(quartic):
 
 def test_generic_det_fermat_errors(fermat):
     with pytest.raises(HypothesisViolation):
-        generic_det_check(fermat, 5)
+        _check(fermat, 5)
 
 
 @pytest.mark.parametrize(
@@ -336,7 +340,9 @@ def test_generic_det_reports_a_mutant_entry(capsys, monkeypatch, preset, p):
     rows = [list(row) for row in A.entries]
     rows[0][0] = plus(rows[0][0], bump)
     mutant = A._replace(entries=tuple(tuple(r) for r in rows))
-    monkeypatch.setattr(hasse_witt, "symbolic_matrix", lambda support, p: mutant)
+    # generic-det reads A from hasse_witt, verify from suites
+    for module in (hasse_witt, suites):
+        monkeypatch.setattr(module, "symbolic_matrix", lambda support, p: mutant)
     assert main(["generic-det", "--preset", preset, "--p", str(p)]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["det_B_constant_term"] == 2
@@ -351,7 +357,7 @@ def test_generic_det_reports_a_mutant_entry(capsys, monkeypatch, preset, p):
 )
 def test_certificate_matches_the_expansion(preset, p):
     support = support_from_preset(preset)
-    report = generic_det_check(support, p)
+    report = _check(support, p)
     ct, _, _ = hasse_witt.generic_det(support, p)
     assert report.passed and report.witnesses["light_terms"] == []
     assert report.witnesses["det_B_constant_term"] == ct == 1
@@ -376,8 +382,8 @@ def test_generic_det_check_names_a_light_term(capsys, monkeypatch, hesse):
     p = 5
     A = symbolic_matrix(hesse, p)
     mutant = A._replace(entries=((plus(A.entries[0][0], mono((1, 0, 0, 1), 1, p)),),))
-    monkeypatch.setattr(hasse_witt, "symbolic_matrix", lambda support, p: mutant)
-    report = generic_det_check(hesse, p)
+    monkeypatch.setattr(suites, "symbolic_matrix", lambda support, p: mutant)
+    report = generic_det_check(scaled_matrix(mutant))
     assert not report.passed
     w = report.witnesses
     assert w["light_terms"] == [(0, 0, (-3, 0, 0, 1))]

@@ -6,6 +6,7 @@ import pytest
 
 from hassewitt import hypergeometric, suites
 from hassewitt.algebra import SparseLaurentPoly
+from hassewitt.geometry import enumerate_box_relations
 from hassewitt.hasse_witt import symbolic_entry, symbolic_matrix
 from hassewitt.hypergeometric import (
     TruncatedSeries,
@@ -361,7 +362,7 @@ def test_suite_3_4_fails_on_every_dropped_series_term(quartic, monkeypatch):
     # at p = 3 the nine derivative series of quartic-full hold 66 terms; a
     # series missing any one of them leaves a box residual inside its floor
     p = 3
-    assert suites.suite_3_4(quartic, p).passed
+    assert suites.run_suites(quartic, p, "3.4")[0].passed
     real = suites.derivative_series
     drops = [
         (i, j, exp)
@@ -380,7 +381,7 @@ def test_suite_3_4_fails_on_every_dropped_series_term(quartic, monkeypatch):
             return series._replace(poly=P(quartic.N, None, terms))
 
         monkeypatch.setattr(suites, "derivative_series", dropping)
-        failures = suites.suite_3_4(quartic, p).witnesses["failures"]
+        failures = suites.run_suites(quartic, p, "3.4")[0].witnesses["failures"]
         assert [(f["i"], f["j"]) for f in failures] == [(i + 1, j + 1)], exp
         assert failures[0]["detail"]["box_failures"], exp
 
@@ -478,7 +479,7 @@ def test_box_failures_of_mutants_match_reference(preset, p):
     # does not vanish on the mutant
     support = support_from_preset(preset)
     lifted = support.lifted
-    relations = suites._box_relations(support)
+    relations = tuple(enumerate_box_relations(lifted))
     A = symbolic_matrix(support, p)
     rng = random.Random(43)
     cases = []
@@ -518,7 +519,7 @@ def test_box_operators_catch_every_seeded_mutant(preset, p, mutation):
     # operators count, not the homogeneity operators
     support = support_from_preset(preset)
     lifted = support.lifted
-    relations = suites._box_relations(support)
+    relations = tuple(enumerate_box_relations(lifted))
     A = symbolic_matrix(support, p)
     entries = [
         (A.entries[i][j], tuple(p * a - b for a, b in zip(tuple(u) + (1,), tuple(v) + (1,))))
@@ -538,31 +539,34 @@ def test_box_operators_catch_every_seeded_mutant(preset, p, mutation):
     assert caught == 40
 
 
-def test_box_relations_built_once_per_run(hesse, monkeypatch):
-    calls = []
-    real = suites.enumerate_box_relations
-    monkeypatch.setattr(
-        suites, "enumerate_box_relations",
-        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs),
-    )
-    suites._box_relations.cache_clear()
-    reports = suites.run_suites(hesse, 5)
-    assert len(calls) == 1
-    assert all(r.passed for r in reports)
-    assert isinstance(suites._box_relations(hesse), tuple)
-
-
-def test_box_relations_cached_across_equal_supports():
-    suites._box_relations.cache_clear()
-    first = suites._box_relations(support_from_preset("hesse-cubic"))
-    hits = suites._box_relations.cache_info().hits
-    # a second build of the same support is an equal key, not a new one
-    assert suites._box_relations(support_from_preset("hesse-cubic")) is first
-    assert suites._box_relations.cache_info().hits == hits + 1
+def test_box_relations_built_once_per_run(hesse, quartic, monkeypatch):
+    # one run builds A, B and the moves once, and each G_i once: suites 3.4
+    # and 3.8 share it at depth p
+    calls = {}
+    for name in ("symbolic_matrix", "scaled_matrix", "enumerate_box_relations", "series_Gi"):
+        real = getattr(suites, name)
+        monkeypatch.setattr(
+            suites, name,
+            lambda *args, name=name, real=real: calls.setdefault(name, []).append(args)
+            or real(*args),
+        )
+    for support, p in ((hesse, 5), (quartic, 3)):
+        calls.clear()
+        reports = suites.run_suites(support, p)
+        assert len(calls["enumerate_box_relations"]) == 1
+        assert all(r.passed for r in reports)
+        assert len(calls["symbolic_matrix"]) == len(calls["scaled_matrix"]) == 1
+        assert sorted(args[1:] for args in calls["series_Gi"]) == [
+            (i, p) for i in range(support.m)
+        ]
+        # the next run builds its own moves
+        suites.run_suites(support, p, "3.11")
+        assert len(calls["enumerate_box_relations"]) == 2
 
 
 def test_Li_enumerated_once_per_i_per_suite(quartic, monkeypatch):
-    # suite 2.9 and each series suite (3.4, 3.8) enumerate L_i once per i
+    # suite 2.9 and the series that suites 3.4 and 3.8 share enumerate L_i
+    # once per i
     calls = []
     real = suites.enumerate_Li
     for module in (suites, hypergeometric):
@@ -571,8 +575,9 @@ def test_Li_enumerated_once_per_i_per_suite(quartic, monkeypatch):
             lambda *args: calls.append(args[1:]) or real(*args),
         )
     assert all(r.passed for r in suites.run_suites(quartic, 3))
-    # depth p for 2.9, 3.4 and 3.8; suite 3.7 builds its windows with no L_i
-    assert len(calls) == 3 * quartic.m == 9
+    # depth p for 2.9, and for the one G_i that 3.4 and 3.8 share; suite
+    # 3.7 builds its windows with no L_i
+    assert len(calls) == 2 * quartic.m == 6
     assert set(calls) == {(i, 3) for i in range(quartic.m)}
 
 

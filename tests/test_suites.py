@@ -273,3 +273,11 @@ def test_run_suites_times_every_suite(hesse, monkeypatch):
     monkeypatch.setattr(reports.time, "monotonic", lambda: next(clock))
     reps = suites.run_suites(hesse, 5)
     assert [r.seconds for r in reps] == [1] * len(suites.SUITE_NAMES)
+
+
+def test_run_suites_rejects_unknown_options(hesse):
+    # depth is the one setting besides the suite; nothing else is passed on
+    with pytest.raises(TypeError):
+        suites.run_suites(hesse, 5, "2.9", seed=2, bogus=1)
+    (report,) = suites.run_suites(hesse, 5, "2.9", depth=3)
+    assert report.witnesses["depth"] == 3
