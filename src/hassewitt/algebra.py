@@ -356,9 +356,10 @@ class PackedPoly:
         last coordinate that any shift moves.  The keys that share those h
         fields, their head, are contiguous, and each run of them makes one
         piece per shift: the head is unpacked once per run and formatted
-        once per run and shift, and each term's tail, the other fields, is
-        unpacked by one struct call and formatted once for all the shifts
-        together.
+        once per run and shift.  Each term's tail, the other fields, is the
+        same for all the shifts; its text is the texts of its upper and its
+        lower half joined, and each distinct half is unpacked and formatted
+        once (_FieldTexts).
         """
         shifts = [tuple(s) for s in shifts]
         if any(len(s) != self.nvars for s in shifts):
@@ -373,13 +374,17 @@ class PackedPoly:
         # A term's text is its coefficient, its head's text, then its tail's.
         # Between two heads' texts sit a tail, " + " and the next
         # coefficient: the glue, the same for every shift, so that a run's
-        # piece is its glues joined by its head's text.
-        terms, width = self.terms, self.width
-        tail_bits = (self.nvars - h) * width
-        unpack_head, unpack_tail = _unpacker(h, width), _unpacker(self.nvars, width, h)
+        # piece is its glues joined by its head's text.  A tail is split at
+        # the middle of its fields into an upper and a lower half, far fewer
+        # of each than terms, and its text is theirs joined.
+        terms, width, nvars = self.terms, self.width, self.nvars
+        middle = (h + nvars) // 2
+        lower_bits = (nvars - middle) * width
+        tail_bits = (nvars - h) * width
+        tail_mask, lower_mask = (1 << tail_bits) - 1, (1 << lower_bits) - 1
+        upper, lower = _FieldTexts(h, middle, width), _FieldTexts(middle, nvars, width)
+        unpack_head = _unpacker(h, width)
         head_format = "".join(map(power_format, range(h)))
-        tail_format = "".join(map(power_format, range(h, self.nvars)))
-        glue_format = tail_format + " + %s"
 
         def pieces(head, glues):
             head = unpack_head(head)
@@ -392,13 +397,31 @@ class PackedPoly:
         key = keys[0]
         head, glues = key >> tail_bits, ["%s" % terms[key]]
         for following in itertools.islice(keys, 1, None):
-            glues.append(glue_format % (*unpack_tail(key), terms[following]))
+            glues.append(
+                f"{upper[(key & tail_mask) >> lower_bits]}{lower[key & lower_mask]}"
+                f" + {terms[following]}"
+            )
             if following >> tail_bits != head:
                 yield pieces(head, glues)
                 head, glues = following >> tail_bits, [""]
             key = following
-        glues.append(tail_format % unpack_tail(key))
+        glues.append(upper[(key & tail_mask) >> lower_bits] + lower[key & lower_mask])
         yield pieces(head, glues)
+
+
+class _FieldTexts(dict):
+    """{fields first..stop-1 of a packed key, shifted down to bit 0: their
+    text}, each unpacked and formatted on its first lookup."""
+
+    __slots__ = ("format", "unpack")
+
+    def __init__(self, first, stop, width):
+        self.format = "".join(map(power_format, range(first, stop)))
+        self.unpack = _unpacker(stop - first, width)
+
+    def __missing__(self, fields):
+        text = self[fields] = self.format % self.unpack(fields)
+        return text
 
 
 def _packed_det(packed, modulus):
@@ -472,18 +495,17 @@ def _pack_entries(mat):
     return packed, width, lo
 
 
-def _unpacker(nvars, width, first=0):
-    """The inverse of _pack_entries' packing from field ``first`` on: a key
-    of ``nvars`` fields -> its fields first..nvars-1, the most significant
-    first.  Where the width is that of a machine integer it is one struct
-    call, which skips the bytes of the fields before ``first``."""
+def _unpacker(nvars, width):
+    """The inverse of _pack_entries' packing: a key of ``nvars`` fields ->
+    its fields, the most significant first.  Where the width is that of a
+    machine integer it is one struct call."""
     code = {8: "B", 16: "H", 32: "I", 64: "Q"}.get(width)
     if code is not None:
-        layout = struct.Struct(f">{first * width // 8}x{nvars - first}{code}")
+        layout = struct.Struct(f">{nvars}{code}")
         return lambda key: layout.unpack(key.to_bytes(layout.size, "big"))
     mask = (1 << width) - 1
     return lambda key: tuple(
-        (key >> ((nvars - 1 - k) * width)) & mask for k in range(first, nvars)
+        (key >> ((nvars - 1 - k) * width)) & mask for k in range(nvars)
     )
 
 

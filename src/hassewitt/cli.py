@@ -224,7 +224,17 @@ def _json_chunks(value, newline):
         yield (json.dumps(value),), False
 
 
+# the characters that a JSON string holds as they are
+_PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
+
+
 def _escape_piece(piece):
+    """The piece as it stands inside a JSON string: encode_basestring_ascii's
+    escape of it without the quotes.  A piece that needs no escape, ASCII
+    with nothing left once its plain characters are deleted, as every
+    polynomial's text is, is returned itself, without an escaped copy."""
+    if piece.isascii() and not piece.encode().translate(None, _PLAIN):
+        return piece
     return encode_basestring_ascii(piece)[1:-1]
 
 

@@ -413,6 +413,38 @@ def test_det_pieces_at_every_width(lo, hi, width):
         assert d.width == width
 
 
+@pytest.mark.parametrize("lo,hi,width", [(-3, 3, 8), (2**40, 2**63 + 2**40, 65)])
+@pytest.mark.parametrize(
+    "nvars,moved",
+    [
+        (3, 3),  # every coordinate moves: an empty tail
+        (3, 2),  # a tail of one field
+        (4, 1),  # three fields: halves of one and two
+        (6, 2),  # four fields: two halves of two
+        (5, 1),  # four fields, after a head of one
+    ],
+)
+def test_det_pieces_split_every_tail(lo, hi, width, nvars, moved):
+    # the shift moves coordinates 0..moved-1, so the tail is the other
+    # nvars - moved fields, split at their middle; two exponent values per
+    # coordinate make many terms share each half
+    rng = random.Random(f"tail-{lo}-{nvars}-{moved}")
+    for m in (2, 3):
+        mat = [
+            [
+                P(nvars, None, {
+                    tuple(rng.choice((lo, hi)) for _ in range(nvars)): rng.randint(-5, 5) or 1
+                    for _ in range(3)
+                })
+                for _ in range(m)
+            ]
+            for _ in range(m)
+        ]
+        shift = tuple(rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(moved))
+        d = assert_pieces_match_cofactor(mat, shift + (0,) * (nvars - moved))
+        assert d.width == width
+
+
 def test_det_coefficient_outside_the_packed_range():
     f = P(2, 5, {(-2, 3): 1, (1, 0): 4, (0, 7): 2})
     d = det_leibniz([[f]])

@@ -3,10 +3,12 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
@@ -936,6 +938,23 @@ def test_json_writer_matches_json_dumps(payload, data):
         fh = io.StringIO()
         cli._dump_json(value, fh)
         assert fh.getvalue() == expected
+
+
+def test_escape_piece_matches_encode_basestring_ascii():
+    # every character that needs an escape, or borders on one, alone, at both
+    # ends and in the middle of a long plain piece, and short seeded mixes
+    rng = random.Random(2028)
+    specials = [*map(chr, range(0x20)), "\x7f", '"', "\\", "/", "~", " ", "\xe9"]
+    specials += ["\u2028", "\U0001d11e", "\ud800", ""]
+    plain = "".join(rng.choice("0123456789-*L^+ /") for _ in range(4000))
+    corpus = [plain]
+    for c in specials:
+        corpus += [c, c + plain, plain[:2000] + c + plain[2000:], plain + c]
+    for _ in range(500):
+        corpus.append("".join(rng.choices(specials + list("aL1^*+ "), k=rng.randint(0, 12))))
+    for piece in corpus:
+        assert cli._escape_piece(piece) == encode_basestring_ascii(piece)[1:-1]
+    assert cli._escape_piece(plain) is plain  # no copy of a plain piece
 
 
 def test_json_writer_holds_the_layout_until_the_first_lazy_value():

@@ -269,12 +269,21 @@ def test_generic_det_texts_match_cofactor_oracle(preset, p):
 @pytest.mark.parametrize("argv", [["generic-det", "--preset", "quartic-full", "--p", "5"]])
 def test_generic_det_unpacks_no_exponent(capsys, monkeypatch, argv):
     # the m * m entries of A are the only polynomials built; the texts unpack
-    # each run's head (m fields) and each term's tail (N - m fields), never a
-    # whole exponent
+    # each run's head (m fields) once, and each distinct upper and lower half
+    # of a tail (the N - m fields after the head, split at their middle)
+    # once, never a whole exponent
     support = support_from_preset("quartic-full")
     m, N, p = support.m, support.N, int(argv[4])
-    terms = len(det_leibniz(symbolic_matrix(support, p).entries).terms)
-    built, unpacked_fields = [], []
+    det = det_leibniz(symbolic_matrix(support, p).entries)
+    exponents = list(unpacked(det).terms)
+    middle = (m + N) // 2
+    heads = {e[:m] for e in exponents}
+    halves = [
+        {tuple(x - o for x, o in zip(e[lo:hi], det.offsets[lo:hi])) for e in exponents}
+        for lo, hi in [(m, middle), (middle, N)]
+    ]
+    assert (len(exponents), len(halves[0]), len(halves[1])) == (41573, 1210, 1180)
+    built, unpacks = [], []
     init = SparseLaurentPoly.__init__
 
     def counting_init(self, *args, **kwargs):
@@ -283,12 +292,13 @@ def test_generic_det_unpacks_no_exponent(capsys, monkeypatch, argv):
 
     real_unpacker = algebra._unpacker
 
-    def counting_unpacker(nvars, width, first=0):
-        unpack = real_unpacker(nvars, width, first)
+    def counting_unpacker(nvars, width):
+        unpack, fields = real_unpacker(nvars, width), []
+        unpacks.append((nvars, fields))
 
         def counted(key):
-            unpacked_fields.append(nvars - first)
-            return unpack(key)
+            fields.append(unpack(key))
+            return fields[-1]
 
         return counted
 
@@ -297,8 +307,12 @@ def test_generic_det_unpacks_no_exponent(capsys, monkeypatch, argv):
     assert main(argv) == 0
     capsys.readouterr()
     assert len(built) == m * m
-    assert unpacked_fields.count(N - m) == terms
-    assert set(unpacked_fields) == {m, N - m}
+    assert sorted(n for n, _ in unpacks) == sorted([m, middle - m, N - middle])
+    (head_calls,) = [fields for n, fields in unpacks if n == m]
+    half_calls = [fields for n, fields in unpacks if n != m]
+    assert len(head_calls) == len(heads)
+    assert all(len(fields) == len(set(fields)) for fields in half_calls)
+    assert {frozenset(fields) for fields in half_calls} == set(map(frozenset, halves))
 
 
 def test_det_work_bound_admits_quartic_p7_and_refuses_quintic_p5():
