@@ -380,13 +380,8 @@ def cmd_series(args, cfg, support):
 def cmd_trunc(args, cfg, support):
     i, j = _indices(args, support)
     p = cfg["p"]
-    depth = _depth(args, cfg)
-    if depth < p:
-        raise ConfigError(
-            f"trunc needs depth >= p = {p}: the window holds series terms "
-            f"with -l_i up to p, got depth {depth}"
-        )
-    truncated = rho_truncation(series_Gi(support, i, depth), j, p)
+    # the rho window holds the series terms with -l_i up to p: depth p
+    truncated = rho_truncation(series_Gi(support, i, p), j, p)
     report = timed(verify_truncation_identity, support, i, j, p, truncated)
     _emit(
         {
@@ -448,6 +443,7 @@ def build_parser():
         if name in ("series", "trunc"):
             sp.add_argument("--i", type=int)
             sp.add_argument("--j", type=int)
+        if name == "series":
             sp.add_argument("--depth", type=int)
         if name == "verify":
             sp.add_argument(

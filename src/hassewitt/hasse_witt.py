@@ -51,7 +51,7 @@ def symbolic_entry(support: SupportSet, u, v, p) -> SparseLaurentPoly:
     whether or not they belong to the support.
     """
     return SparseLaurentPoly(
-        support.N, p, representation_coefficients(support.lifted, _target(u, v, p), p)
+        support.N, p, representation_coefficients(support.lifted, entry_target(u, v, p), p)
     )
 
 
@@ -61,7 +61,7 @@ def symbolic_entry_text(support: SupportSet, u, v, p) -> Text:
     term's text is its coefficient and its walk label, and the terms of one
     block of the walk (one prefix at its cut) make one piece.
     """
-    return Text(_entry_pieces(support.lifted, _target(u, v, p), p))
+    return Text(_entry_pieces(support.lifted, entry_target(u, v, p), p))
 
 
 def _entry_pieces(lifted, target, p):
@@ -77,7 +77,7 @@ def _power_text(k, e):
     return power_format(k) % e
 
 
-def _target(u, v, p):
+def entry_target(u, v, p):
     """The lifted target p*u+ - v+ of entry (u, v)."""
     return tuple(p * a - b for a, b in zip((*u, 1), (*v, 1)))
 

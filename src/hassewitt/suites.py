@@ -22,6 +22,7 @@ from .geometry import (
 )
 from .hasse_witt import (
     HypothesisViolation,
+    entry_target,
     evaluate_matrix,
     generic_det_check,
     oracle_dense_coefficient,
@@ -42,9 +43,10 @@ from .reports import VerificationReport, timed
 class _Run:
     """The inputs that the suites of one run share, each built on first use:
     the Hasse-Witt matrix A (suite 3.11), its rescaling B (suites 2.7, 2.8
-    and 2.11), the Markov moves (suites 3.4, 3.7 and 3.11) and the series
-    G_i per (i, depth) (suites 3.4 and 3.8).  ``depth`` is that of suites
-    2.9 and 3.4, p unless given; suite 3.8 reads G_i at depth p."""
+    and 2.11), the Markov moves and their coverage (suites 3.4, 3.7 and
+    3.11) and the series G_i per (i, depth) (suites 3.4 and 3.8).  ``depth``
+    is that of suites 2.9 and 3.4, p unless given; suite 3.8 reads G_i at
+    depth p."""
 
     def __init__(self, support: SupportSet, p, depth=None):
         self.support = support
@@ -64,22 +66,58 @@ class _Run:
     def relations(self):
         return tuple(enumerate_box_relations(self.support.lifted))
 
+    @functools.cached_property
+    def relation_coverage(self):
+        """The degree the moves are complete up to, their number, the
+        columns they touch, and how many are non-vacuous mod p: a box
+        operator vanishes mod p when both l+ and l- have a coordinate >= p."""
+        relations, p = self.relations, self.p
+        return {
+            "degree": max((sum(x for x in l if x > 0) for l in relations), default=0),
+            "moves": len(relations),
+            "columns_touched": sum(map(any, zip(*relations))),
+            "nonvacuous_mod_p": sum(max(l) < p or -min(l) < p for l in relations),
+        }
+
     def series(self, i, depth):
         if (i, depth) not in self._series:
             self._series[i, depth] = series_Gi(self.support, i, depth)
         return self._series[i, depth]
 
 
-def _relation_coverage(relations, N, p):
-    """The degree the moves are complete up to, their number, the columns
-    they touch, and how many are non-vacuous mod p: a box operator vanishes
-    mod p when both l+ and l- have a coordinate >= p."""
-    return {
-        "degree": max((sum(x for x in l if x > 0) for l in relations), default=0),
-        "moves": len(relations),
-        "columns_touched": sum(any(l[k] for l in relations) for k in range(N)),
-        "nonvacuous_mod_p": sum(max(l) < p or -min(l) < p for l in relations),
-    }
+_MOD_P = {"mode": "mod-p"}
+
+
+def _negated(column):
+    return tuple(-x for x in column)
+
+
+def _check_solutions(run: _Run, statement, cases, own):
+    """The report of a suite that checks each of its cases against the
+    homogeneity operators and the box operators of the run's moves.  A case
+    is (failure label, f, beta, the keyword options of
+    verify_hypergeometric_solution).  ``own`` holds the suite's own
+    witnesses; it is read after the last case, so a count that the cases
+    keep in it is complete."""
+    relations, lifted = run.relations, run.support.lifted
+    failures = []
+    for label, f, beta, options in cases:
+        passed, detail = verify_hypergeometric_solution(
+            f, beta, relations, lifted, **options
+        )
+        if not passed:
+            failures.append({**label, "detail": detail})
+    return VerificationReport(
+        statement=statement,
+        passed=not failures,
+        witnesses={
+            **own,
+            "p": run.p,
+            "relations_checked": len(relations),
+            "relation_coverage": run.relation_coverage,
+            "failures": failures,
+        },
+    )
 
 
 def _require_interior_monomial(support: SupportSet, statement):
@@ -170,37 +208,19 @@ def suite_3_4(run: _Run):
     column as parameter, and box checks at every exponent on or above the
     truncation floor (see verify_hypergeometric_solution).
     """
-    support, p, depth = run.support, run.p, run.depth
+    support, depth = run.support, run.depth
     _require_interior_monomial(support, "prop-3.4")
-    lifted = support.lifted
-    relations = run.relations
-    failures = []
-    for i in range(support.m):
-        gi = run.series(i, depth)
-        for j in range(support.m):
-            series = derivative_series(gi, j)
-            beta = tuple(-x for x in lifted[j])
-            passed, detail = verify_hypergeometric_solution(
-                series.poly,
-                beta,
-                relations,
-                lifted,
-                mode="exact-integer",
-                floor=(i, -(depth + (i == j))),
-            )
-            if not passed:
-                failures.append({"i": i + 1, "j": j + 1, "detail": detail})
-    return VerificationReport(
-        statement="prop-3.4",
-        passed=not failures,
-        witnesses={
-            "p": p,
-            "depth": depth,
-            "relations_checked": len(relations),
-            "relation_coverage": _relation_coverage(relations, support.N, p),
-            "failures": failures,
-        },
+    cases = (
+        (
+            {"i": i + 1, "j": j + 1},
+            derivative_series(run.series(i, depth), j).poly,
+            _negated(support.lifted[j]),
+            {"mode": "exact-integer", "floor": (i, -(depth + (i == j)))},
+        )
+        for i in range(support.m)
+        for j in range(support.m)
     )
+    return _check_solutions(run, "prop-3.4", cases, {"depth": depth})
 
 
 def suite_3_7(run: _Run):
@@ -211,34 +231,19 @@ def suite_3_7(run: _Run):
     """
     support, p = run.support, run.p
     _require_interior_monomial(support, "lemma-3.7")
-    lifted = support.lifted
-    relations = run.relations
-    failures = []
-    windows_checked = 0
-    for i in range(support.m):
-        for j in range(support.m):
-            windows = lucas_windows(support, i, j, p)
-            beta = tuple(-x for x in lifted[j])
-            for r in sorted(windows):
-                passed, detail = verify_hypergeometric_solution(
-                    windows[r], beta, relations, lifted, mode="mod-p"
-                )
-                if not passed:
-                    failures.append(
-                        {"i": i + 1, "j": j + 1, "window": list(r), "detail": detail}
-                    )
-            windows_checked += len(windows)
-    return VerificationReport(
-        statement="lemma-3.7",
-        passed=not failures,
-        witnesses={
-            "p": p,
-            "windows_checked": windows_checked,
-            "relations_checked": len(relations),
-            "relation_coverage": _relation_coverage(relations, support.N, p),
-            "failures": failures,
-        },
-    )
+    own = {"windows_checked": 0}
+
+    def cases():
+        for i in range(support.m):
+            for j in range(support.m):
+                windows = lucas_windows(support, i, j, p)
+                own["windows_checked"] += len(windows)
+                beta = _negated(support.lifted[j])
+                for r in sorted(windows):
+                    label = {"i": i + 1, "j": j + 1, "window": list(r)}
+                    yield label, windows[r], beta, _MOD_P
+
+    return _check_solutions(run, "lemma-3.7", cases(), own)
 
 
 def suite_3_8(run: _Run):
@@ -272,32 +277,14 @@ def suite_3_11(run: _Run):
     """Every Hasse-Witt entry mod p is annihilated by the box operators of
     the Markov moves and by the homogeneity operators with the exact
     parameter p*u+ - v+ (congruent to the negated lifted column mod p)."""
-    support, p = run.support, run.p
-    lifted = support.lifted
-    relations = run.relations
-    A = run.A
-    failures = []
-    for i, u in enumerate(A.labels):
-        for j, v in enumerate(A.labels):
-            up = tuple(u) + (1,)
-            vp = tuple(v) + (1,)
-            beta = tuple(p * a - b for a, b in zip(up, vp))
-            passed, detail = verify_hypergeometric_solution(
-                A.entries[i][j], beta, relations, lifted, mode="mod-p"
-            )
-            if not passed:
-                failures.append({"i": i + 1, "j": j + 1, "detail": detail})
-    return VerificationReport(
-        statement="cor-3.11",
-        passed=not failures,
-        witnesses={
-            "p": p,
-            "entries_checked": len(A.labels) ** 2,
-            "relations_checked": len(relations),
-            "relation_coverage": _relation_coverage(relations, support.N, p),
-            "failures": failures,
-        },
+    A, p = run.A, run.p
+    cases = (
+        ({"i": i + 1, "j": j + 1}, A.entries[i][j], entry_target(u, v, p), _MOD_P)
+        for i, u in enumerate(A.labels)
+        for j, v in enumerate(A.labels)
     )
+    own = {"entries_checked": len(A.labels) ** 2}
+    return _check_solutions(run, "cor-3.11", cases, own)
 
 
 def oracle_equivalence(support: SupportSet, p, a=1, point=None, seed=0):

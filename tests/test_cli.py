@@ -631,13 +631,26 @@ def test_series_index_zero_exit_2(capsys, command, flag):
     assert "indices" in err
 
 
+def run_cli_to_exit(capsys, *argv):
+    """run_cli for an argv that argparse rejects: the code of its SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
 @pytest.mark.parametrize("command", ["series", "trunc"])
 def test_depth_zero_exit_2(capsys, command):
-    code, _, err = run_cli(
-        capsys, command, "--preset", "hesse-cubic", "--p", "5", "--depth", "0"
-    )
+    # series refuses a depth of 0; trunc takes no --depth at all
+    argv = (command, "--preset", "hesse-cubic", "--p", "5", "--depth", "0")
+    if command == "series":
+        code, out, err = run_cli(capsys, *argv)
+        assert "depth must be an integer >= 1" in err
+    else:
+        code, out, err = run_cli_to_exit(capsys, *argv)
+        assert "unrecognized arguments: --depth 0" in err
     assert code == 2
-    assert "depth" in err
+    assert out == ""
 
 
 def test_config_depth_zero_exit_2(tmp_path, capsys):
@@ -698,31 +711,30 @@ def test_dimension_below_one_exit_2(tmp_path, capsys, n, d, exponents):
 
 @pytest.mark.parametrize("depth", ["1", "2"])
 def test_trunc_depth_below_p_exit_2(capsys, depth):
-    # the rho window holds series terms with -l_i up to p = 3
-    code, out, err = run_cli(
+    # trunc builds G_i at depth p, the depth its window needs, and takes no
+    # --depth: a depth below p = 3, once refused, is now an unknown option
+    code, out, err = run_cli_to_exit(
         capsys, "trunc", "--preset", "quartic-full", "--p", "3",
         "--i", "1", "--j", "2", "--depth", depth,
     )
     assert code == 2
     assert out == ""
-    assert "depth" in err
+    assert f"unrecognized arguments: --depth {depth}" in err
 
 
-@pytest.mark.parametrize("depth", ["3", "4"])
-def test_trunc_depth_at_least_p_passes(capsys, depth):
-    code, out, _ = run_cli(
-        capsys, "trunc", "--preset", "quartic-full", "--p", "3",
-        "--i", "1", "--j", "2", "--depth", depth,
-    )
-    assert code == 0
-    assert json.loads(out)["prop_3_8"]["passed"]
-
-
-def test_trunc_config_depth_below_p_exit_2(tmp_path, capsys):
-    code, out, err = run_cli(capsys, "trunc", "--config", write_config(tmp_path, depth=4))
-    assert code == 2
-    assert out == ""
-    assert "depth" in err
+@pytest.mark.parametrize("depth", [2, 4, 7])
+def test_trunc_ignores_config_depth(tmp_path, capsys, depth):
+    # a config depth below p = 5 or above it leaves trunc's output as it is
+    # without one
+    argv = ("trunc", "--i", "1", "--j", "2", "--config")
+    outs = []
+    for extra in ({}, {"depth": depth}):
+        path = write_config(tmp_path, **PRESETS["quartic-full"], p=5, **extra)
+        code, out, _ = run_cli(capsys, *argv, path)
+        assert code == 0
+        outs.append(strip_seconds(json.loads(out)))
+    assert outs[0] == outs[1]
+    assert outs[0]["prop_3_8"]["passed"]
 
 
 @pytest.mark.parametrize("depth", ["1", "2"])

@@ -1,6 +1,7 @@
 """Suite-level behaviour: every suite fails on a seeded wrong input and names
 the mutated index, and every report is timed in one place."""
 
+import functools
 import math
 
 import pytest
@@ -80,10 +81,23 @@ def _truncation_identity_entry(monkeypatch, support, p):
     return [(I + 1, J + 1)]
 
 
-def _matrix_entry(monkeypatch, support, p):
+def _truncation_series_term(monkeypatch, support, p):
+    # the series side of Prop 3.8: the truncation that suite 3.8 compares
+    # with A_ij, one of its three terms negated
+    real = suites.rho_truncation
+
+    def flipping(gi, j, p):
+        out = real(gi, j, p)
+        return _flip(out) if (gi.i, j) == (I, J) else out
+
+    monkeypatch.setattr(suites, "rho_truncation", flipping)
+    return [(I + 1, J + 1)]
+
+
+def _matrix_entry(monkeypatch, support, p, change=_flip):
     A = suites.symbolic_matrix(support, p)
     rows = [list(row) for row in A.entries]
-    rows[I][J] = _flip(rows[I][J])
+    rows[I][J] = change(rows[I][J])
     mutant = A._replace(entries=tuple(map(tuple, rows)))
     monkeypatch.setattr(suites, "symbolic_matrix", lambda support, p: mutant)
     return [(I + 1, J + 1)]
@@ -105,16 +119,17 @@ def _windows(w):
     return [(f["i"], f["j"], f["window"]) for f in w["failures"]]
 
 
+def _unmatched_entries(w):
+    return [(e["i"], e["j"]) for e in w["entries"] if not e["signs"]]
+
+
 # test id -> (suite, mutation, the indices a failing report names)
 MUTATIONS = {
     "2.9": ("2.9", _outside_Li, lambda w: w["certificate_failures"]),
     "3.7": ("3.7", _rho_window_term, _windows),
     "3.7-deep-window": ("3.7", _deep_window_term, _windows),
-    "3.8": (
-        "3.8",
-        _truncation_identity_entry,
-        lambda w: [(e["i"], e["j"]) for e in w["entries"] if not e["signs"]],
-    ),
+    "3.8": ("3.8", _truncation_identity_entry, _unmatched_entries),
+    "3.8-series": ("3.8", _truncation_series_term, _unmatched_entries),
     "3.11": ("3.11", _matrix_entry, lambda w: [(f["i"], f["j"]) for f in w["failures"]]),
     "oracle-eq": ("oracle-eq", _oracle_coefficient, lambda w: w["mismatches"]),
 }
@@ -137,6 +152,70 @@ def test_suites_name_a_seeded_mutant(quartic, monkeypatch, case):
     assert culprits(report.witnesses) == expected
 
 
+def _moved(f):
+    """f with its first term moved from s to s + e_K, K the last column: the
+    lifted degree of that term gains lifted column K, here (4, 0, 0, 1)."""
+    terms = dict(f.terms)
+    s = min(terms)
+    terms[(*s[:-1], s[-1] + 1)] = terms.pop(s)
+    return SparseLaurentPoly(f.nvars, f.modulus, terms)
+
+
+def _moved_series_term(monkeypatch, support, p):
+    real = suites.derivative_series
+
+    def moving(gi, j):
+        out = real(gi, j)
+        return out._replace(poly=_moved(out.poly)) if (gi.i, j) == (I, J) else out
+
+    monkeypatch.setattr(suites, "derivative_series", moving)
+    return [(I + 1, J + 1)]
+
+
+def _moved_window_term(monkeypatch, support, p):
+    real = suites.lucas_windows
+    window = rho_window(support.N, I)
+
+    def moving(support, i, j, p):
+        out = real(support, i, j, p)
+        if (i, j) == (I, J):
+            out[window] = _moved(out[window])
+        return out
+
+    monkeypatch.setattr(suites, "lucas_windows", moving)
+    return [(I + 1, J + 1, list(window))]
+
+
+@pytest.mark.parametrize(
+    "suite,mutate",
+    [
+        ("3.4", _moved_series_term),
+        ("3.7", _moved_window_term),
+        ("3.11", functools.partial(_matrix_entry, change=_moved)),
+    ],
+    ids=["3.4", "3.7", "3.11"],
+)
+def test_operator_suites_name_a_term_of_the_wrong_degree(monkeypatch, quartic, suite, mutate):
+    # a term moved by e_K leaves the degree beta of its polynomial by the
+    # lifted column (4, 0, 0, 1): the homogeneity operators of coordinates 0
+    # and 3 see it mod 3, and those of coordinates 1 and 2 do not
+    assert quartic.lifted[-1] == (4, 0, 0, 1)
+    labels = mutate(monkeypatch, quartic, PRESET_P)
+    (report,) = suites.run_suites(quartic, PRESET_P, suite)
+    assert not report.passed
+    failures = report.witnesses["failures"]
+    assert [tuple(v for k, v in f.items() if k != "detail") for f in failures] == labels
+    assert failures[0]["detail"]["euler_failures"] == [0, 3]
+
+
+# (preset, p) -> the cases suites 3.4 and 3.11 check, one per entry (i, j)
+ENTRY_CASES = {
+    ("quartic-full", 3): (9, 9),
+    ("hesse-cubic", 5): (1, 1),
+    ("quintic-full", 3): (36, 36),
+}
+
+
 @pytest.mark.parametrize(
     "preset,p,windows",
     [
@@ -153,7 +232,9 @@ def test_suite_3_7_checks_the_windows_that_hold_terms(monkeypatch, preset, p, wi
     # series mod p over its window, and the windows are exactly those that
     # hold a term with r_i >= -2; the reference series is two deeper than the
     # depth 2p that holds every such window, so a window built only in part
-    # would differ
+    # would differ.  Where ENTRY_CASES pins them, suites 3.4 and 3.11 of the
+    # same run check that many cases, and the three reports carry one
+    # relation coverage.
     support = support_from_preset(preset)
     checked = []
     pair = []
@@ -170,7 +251,8 @@ def test_suite_3_7_checks_the_windows_that_hold_terms(monkeypatch, preset, p, wi
 
     monkeypatch.setattr(suites, "lucas_windows", lucas_windows)
     monkeypatch.setattr(suites, "verify_hypergeometric_solution", verify)
-    (report,) = suites.run_suites(support, p, "3.7")
+    run = suites._Run(support, p)
+    report = suites.suite_3_7(run)
     assert report.passed
     assert report.witnesses["windows_checked"] == len(checked) == windows
     assert all(not f.is_zero for _, _, f in checked)
@@ -184,6 +266,17 @@ def test_suite_3_7_checks_the_windows_that_hold_terms(monkeypatch, preset, p, wi
             assert {r for a, b, r in got if (a, b) == (i, j)} == held
             for r in held:
                 assert got[i, j, r] == trunc(r, mod_p, p)
+    if (preset, p) not in ENTRY_CASES:
+        return
+    coverage = [report.witnesses["relation_coverage"]]
+    for suite, cases in zip((suites.suite_3_4, suites.suite_3_11), ENTRY_CASES[preset, p]):
+        before = len(checked)
+        other = suite(run)
+        assert other.passed
+        assert len(checked) - before == cases
+        coverage.append(other.witnesses["relation_coverage"])
+    assert coverage[0] == coverage[1] == coverage[2]
+    assert coverage[0]["moves"] == len(run.relations)
 
 
 def test_suite_3_7_builds_no_series(quartic, monkeypatch):
