@@ -29,7 +29,7 @@ from .hasse_witt import (
 from .hypergeometric import (
     box_apply,
     derivative_series,
-    euler_apply,
+    euler_failures,
     lucas_windows,
     rho_truncation,
     series_Gi,
@@ -53,7 +53,7 @@ __all__ = [
     "enumerate_interior",
     "enumerate_Li",
     "enumerate_representations",
-    "euler_apply",
+    "euler_failures",
     "evaluate_matrix",
     "generic_det_check",
     "kernel_basis",

@@ -30,6 +30,7 @@ from .hasse_witt import (
     generic_det,
     matrix_rank,
     sweep_ranks,
+    symbolic_entry,
     symbolic_entry_text,
     symbolic_matrix,
 )
@@ -380,14 +381,16 @@ def cmd_series(args, cfg, support):
 def cmd_trunc(args, cfg, support):
     i, j = _indices(args, support)
     p = cfg["p"]
+    entry = symbolic_entry(support, support.exponents[i], support.exponents[j], p)
     # the rho window holds the series terms with -l_i up to p: depth p
     truncated = rho_truncation(series_Gi(support, i, p), j, p)
-    report = timed(verify_truncation_identity, support, i, j, p, truncated)
+    report = timed(verify_truncation_identity, support, i, j, p, entry, truncated)
     _emit(
         {
             "i": i + 1,
             "j": j + 1,
             "p": p,
+            "entry": entry.canonical_str(),
             "truncation": truncated.canonical_str(),
             "prop_3_8": report.to_dict(),
         },

@@ -42,11 +42,11 @@ from .reports import VerificationReport, timed
 
 class _Run:
     """The inputs that the suites of one run share, each built on first use:
-    the Hasse-Witt matrix A (suite 3.11), its rescaling B (suites 2.7, 2.8
-    and 2.11), the Markov moves and their coverage (suites 3.4, 3.7 and
-    3.11) and the series G_i per (i, depth) (suites 3.4 and 3.8).  ``depth``
-    is that of suites 2.9 and 3.4, p unless given; suite 3.8 reads G_i at
-    depth p."""
+    the Hasse-Witt matrix A (suites 3.8 and 3.11), its rescaling B (suites
+    2.7, 2.8 and 2.11), the Markov moves and their coverage (suites 3.4,
+    3.7 and 3.11) and the series G_i per (i, depth) (suites 3.4 and 3.8).
+    ``depth`` is that of suites 2.9 and 3.4, p unless given; suite 3.8
+    reads G_i at depth p."""
 
     def __init__(self, support: SupportSet, p, depth=None):
         self.support = support
@@ -247,19 +247,24 @@ def suite_3_7(run: _Run):
 
 
 def suite_3_8(run: _Run):
-    """Entrywise comparison of A_ij with the signed, shifted truncation of
-    the derivative series; passes when every entry matches and one common
-    sign works for all of them.  G_i is read at depth p, the depth the
-    truncation needs, whatever the run's depth."""
+    """Entrywise comparison of the run's A_ij with the signed, shifted
+    truncation of the derivative series; passes when every entry matches
+    and one common sign works for all of them.  Each record states the
+    sizes it compared, not the texts.  G_i is read at depth p, the depth
+    the truncation needs, whatever the run's depth."""
     support, p = run.support, run.p
     _require_interior_monomial(support, "prop-3.8")
+    A = run.A
+    # A's rows run over the whole interior set, the support's over exponents[:m]
+    rows = [A.labels.index(u) for u in support.exponents[: support.m]]
     per_entry = []
     common = {"+", "-"}
     all_match = True
-    for i in range(support.m):
+    for i, row in enumerate(rows):
         gi = run.series(i, p)
-        for j in range(support.m):
-            rep = verify_truncation_identity(support, i, j, p, rho_truncation(gi, j, p))
+        for j, col in enumerate(rows):
+            truncated = rho_truncation(gi, j, p)
+            rep = verify_truncation_identity(support, i, j, p, A.entries[row][col], truncated)
             per_entry.append(rep.witnesses)
             all_match = all_match and rep.passed
             if rep.passed:

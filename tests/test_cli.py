@@ -523,8 +523,6 @@ def test_bench_tracer_installs_and_counts_relations(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     trace = json.loads(out.read_text())
-    calls, _ = trace["spans"]["algebra.canonical_str"]
-    assert calls > 0  # the span is entered at install time, so read its calls
     assert trace["counts"]["suites.box_relations.used"] > 0
     # the per-layer metrics of the box kernel read real work
     for span in ("hypergeometric.box_apply", "hypergeometric.verify_hypergeometric_solution"):
@@ -543,13 +541,16 @@ def test_bench_tracer_installs_and_counts_relations(tmp_path):
     [
         (["hw-eval", "--sweep", "k=4"], "hasse_witt.evaluate_matrix"),
         (["generic-det", "--preset", "hesse-cubic", "--p", "5"], "hasse_witt.generic_det"),
+        # the span exists from install on, so the test reads its calls
+        (["trunc", "--preset", "hesse-cubic", "--p", "5"], "algebra.canonical_str"),
     ],
-    ids=["hw-eval-sweep", "generic-det"],
+    ids=["hw-eval-sweep", "generic-det", "trunc"],
 )
 def test_bench_tracer_runs_the_commands_whose_values_it_spans(tmp_path, argv, span):
-    """A traced run of the sweep (hesse-cubic over GF(25)) and of generic-det
-    exits 0 and calls the hasse_witt function whose return value the
-    command consumes."""
+    """A traced run of the sweep (hesse-cubic over GF(25)), of generic-det
+    and of trunc exits 0 and calls the function whose return value the
+    command consumes: trunc prints its two sides through the patched
+    SparseLaurentPoly.canonical_str."""
     if argv[0] == "hw-eval":
         argv = argv + ["--config", write_config(
             tmp_path, a=2, **{"lambda": ["1,1", "1,0", "0,1", "1,0"]})]
@@ -672,6 +673,20 @@ def test_verify_config_depth_reaches_the_depth_suites(tmp_path, capsys, depth):
     assert reports["prop-2.9"]["witnesses"]["depth"] == depth
     assert reports["prop-3.4"]["witnesses"]["depth"] == depth
     assert reports["prop-3.8"]["passed"]
+
+
+def test_verify_reports_the_sizes_suite_3_8_compared(capsys):
+    # each prop-3.8 record states the term counts it compared, not the
+    # entries' texts, which hw-symbolic prints: 65 KB of them at p = 5
+    code, out, _ = run_cli(capsys, "verify", "--preset", "quartic-full", "--p", "5")
+    assert code == 0
+    assert len(out.encode()) < 8 * 1024
+    reports = {r["statement"]: r for r in json.loads(out)["reports"]}
+    entries = reports["prop-3.8"]["witnesses"]["entries"]
+    assert len(entries) == 9
+    for e in entries:
+        assert set(e) == {"i", "j", "p", "signs", "entry_terms", "window_terms"}
+        assert e["entry_terms"] == e["window_terms"] > 0
 
 
 def test_j_defaults_to_i(capsys):

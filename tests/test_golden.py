@@ -171,11 +171,11 @@ def test_golden_hw_eval(tmp_path, capsys, name):
 ARGV_GOLDEN = {
     "verify-hesse-cubic-5": (
         ["verify", "--preset", "hesse-cubic", "--p", "5", "--suite", "all"],
-        0, "bffd0f3a108d8810db536d560ee313e00fb19c16b7153439c497d64303520396",
+        0, "37eb1a590d45bbede0a92f8220f518b0560acc11cb9b8b3524b302dd647627bc",
     ),
     "verify-quartic-full-3": (
         ["verify", "--preset", "quartic-full", "--p", "3", "--suite", "all"],
-        0, "6036a5a2b3a8123b7cff18a2586e6d975acbf3494e0965c66f65075ce4820c8c",
+        0, "67bc93739cbbec9286678a89dc9b55a5238e1550dcbcb29ff06cf3c8efac1c47",
     ),
     "series-quartic-full-3-i1-j2": (
         ["series", "--preset", "quartic-full", "--p", "3", "--i", "1", "--j", "2"],
@@ -205,7 +205,7 @@ ARGV_GOLDEN = {
     ),
     "trunc-quartic-full-3-i1-j2": (
         ["trunc", "--preset", "quartic-full", "--p", "3", "--i", "1", "--j", "2"],
-        0, "dc44fe6d3e155b3dc59e3c28961b571121fc48ea16842634281b7892482db89d",
+        0, "f3fcc003f9b4df61038e40ece795dd5431c42f68391edb6f185266fce2c10e63",
     ),
 }
 

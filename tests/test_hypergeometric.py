@@ -12,7 +12,7 @@ from hassewitt.hypergeometric import (
     TruncatedSeries,
     box_apply,
     derivative_series,
-    euler_apply,
+    euler_failures,
     rho_truncation,
     rho_window,
     series_Gi,
@@ -120,14 +120,13 @@ def test_euler_annihilates_matching_monomial(hesse):
     # a monomial whose lifted degree equals beta is killed by every coordinate
     f = mono((-1, 0, 0, 0))
     beta = hesse_beta(hesse)  # -a_1+ = (-1,-1,-1,-1)
-    for coord in range(4):
-        assert euler_apply(hesse.lifted, coord, beta, f).is_zero
+    assert euler_failures(hesse.lifted, beta, f) == []
 
 
 def test_euler_nonmatching_monomial(hesse):
     f = mono((1, 0, 0, 0))  # lifted degree a_1+ = (1,1,1,1)
-    got = euler_apply(hesse.lifted, 0, (0, 0, 0, 0), f)
-    assert got == mono((1, 0, 0, 0), 1)
+    assert euler_failures(hesse.lifted, (0, 0, 0, 0), f) == [0, 1, 2, 3]
+    assert euler_failures(hesse.lifted, (1, 1, 0, 1), f) == [2]
 
 
 def test_euler_iff_lifted_degree(hesse):
@@ -139,11 +138,25 @@ def test_euler_iff_lifted_degree(hesse):
             sum(e * v[c] for e, v in zip(exp, lifted)) for c in range(4)
         )
         beta = tuple(rng.randint(-3, 3) for _ in range(4))
-        killed = all(
-            euler_apply(lifted, c, beta, mono(exp)).is_zero
-            for c in range(4)
-        )
-        assert killed == (degree == beta)
+        failures = euler_failures(lifted, beta, mono(exp))
+        assert failures == [c for c in range(4) if degree[c] != beta[c]]
+        assert (not failures) == (degree == beta)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_euler_reads_the_degree_mod_p(hesse, p):
+    # mod p the operator of a coordinate scales a term by its degree minus
+    # beta reduced mod p: a term p away from beta in one coordinate is
+    # killed, one 1 away is not
+    f = mono((-1, 0, 0, 0), 1, p)  # lifted degree (-1, -1, -1, -1)
+    for c in range(4):
+        beta = tuple(-1 + p * (k == c) for k in range(4))
+        assert euler_failures(hesse.lifted, beta, f) == []
+        beta = tuple(-1 + (k == c) for k in range(4))
+        assert euler_failures(hesse.lifted, beta, f) == [c]
+    # with integer coefficients the same term p away is a failure
+    beta = (-1 + p, -1, -1, -1)
+    assert euler_failures(hesse.lifted, beta, mono((-1, 0, 0, 0))) == [0]
 
 
 # -- series ---------------------------------------------------------------------
@@ -430,8 +443,9 @@ def test_verify_validates_each_relation_tuple_once(hesse, monkeypatch):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_truncation_identity_hesse(hesse, p):
+    u = hesse.exponents[0]
     truncated = rho_truncation(series_Gi(hesse, 0, p), 0, p)
-    rep = verify_truncation_identity(hesse, 0, 0, p, truncated)
+    rep = verify_truncation_identity(hesse, 0, 0, p, symbolic_entry(hesse, u, u, p), truncated)
     assert rep.passed
     assert rep.witnesses["signs"] == ["+"]
 
@@ -442,16 +456,20 @@ def test_truncation_identity_trivial_lattice():
 
     s = SupportSet.build(1, 2, [(1, 1)])
     p = 5
-    rep = verify_truncation_identity(s, 0, 0, p, rho_truncation(series_Gi(s, 0, p), 0, p))
+    entry = symbolic_entry(s, (1, 1), (1, 1), p)
+    assert entry == mono((p - 1,), 1, p)
+    rep = verify_truncation_identity(s, 0, 0, p, entry, rho_truncation(series_Gi(s, 0, p), 0, p))
     assert rep.passed
-    assert rep.witnesses["entry"] == mono((p - 1,), 1, p).canonical_str()
+    assert rep.witnesses["entry_terms"] == rep.witnesses["window_terms"] == 1
 
 
 def test_truncation_identity_quartic_entries(quartic):
+    exps = quartic.exponents
     for i in range(quartic.m):
         gi = series_Gi(quartic, i, 3)
         for j in range(quartic.m):
-            rep = verify_truncation_identity(quartic, i, j, 3, rho_truncation(gi, j, 3))
+            entry = symbolic_entry(quartic, exps[i], exps[j], 3)
+            rep = verify_truncation_identity(quartic, i, j, 3, entry, rho_truncation(gi, j, 3))
             assert rep.passed
             assert "+" in rep.witnesses["signs"]
 
@@ -585,11 +603,14 @@ def test_truncation_identity_needs_depth_p(quartic):
     with pytest.raises(ValueError, match="depth"):
         rho_truncation(series_Gi(quartic, 0, 2), 1, 3)
     truncated = rho_truncation(series_Gi(quartic, 0, 3), 1, 3)
-    assert verify_truncation_identity(quartic, 0, 1, 3, truncated).passed
+    entry = symbolic_entry(quartic, quartic.exponents[0], quartic.exponents[1], 3)
+    assert verify_truncation_identity(quartic, 0, 1, 3, entry, truncated).passed
 
 
 @pytest.mark.parametrize("i,j", [(-1, 0), (0, 3), (3, 0)])
 def test_truncation_identity_rejects_non_interior_indices(quartic, i, j):
     truncated = rho_truncation(series_Gi(quartic, 0, 3), 0, 3)
+    u = quartic.exponents[0]
+    entry = symbolic_entry(quartic, u, u, 3)
     with pytest.raises(ValueError, match="interior-monomial"):
-        verify_truncation_identity(quartic, i, j, 3, truncated)
+        verify_truncation_identity(quartic, i, j, 3, entry, truncated)

@@ -3,10 +3,18 @@ the mutated index, and every report is timed in one place."""
 
 import functools
 import math
+import sys
 
 import pytest
 
-from hassewitt import SparseLaurentPoly, hypergeometric, reports, suites
+from hassewitt import (
+    SparseLaurentPoly,
+    SupportSet,
+    hasse_witt,
+    hypergeometric,
+    reports,
+    suites,
+)
 from hassewitt.hypergeometric import rho_window, trunc
 
 from conftest import support_from_preset
@@ -69,18 +77,6 @@ def _deep_window_term(monkeypatch, support, p):
     return _window_term(monkeypatch, support, p, -2)
 
 
-def _truncation_identity_entry(monkeypatch, support, p):
-    real = hypergeometric.symbolic_entry
-    target = (support.exponents[I], support.exponents[J])
-
-    def flipping(support, u, v, p):
-        out = real(support, u, v, p)
-        return _flip(out) if (tuple(u), tuple(v)) == target else out
-
-    monkeypatch.setattr(hypergeometric, "symbolic_entry", flipping)
-    return [(I + 1, J + 1)]
-
-
 def _truncation_series_term(monkeypatch, support, p):
     # the series side of Prop 3.8: the truncation that suite 3.8 compares
     # with A_ij, one of its three terms negated
@@ -128,7 +124,7 @@ MUTATIONS = {
     "2.9": ("2.9", _outside_Li, lambda w: w["certificate_failures"]),
     "3.7": ("3.7", _rho_window_term, _windows),
     "3.7-deep-window": ("3.7", _deep_window_term, _windows),
-    "3.8": ("3.8", _truncation_identity_entry, _unmatched_entries),
+    "3.8": ("3.8", _matrix_entry, _unmatched_entries),
     "3.8-series": ("3.8", _truncation_series_term, _unmatched_entries),
     "3.11": ("3.11", _matrix_entry, lambda w: [(f["i"], f["j"]) for f in w["failures"]]),
     "oracle-eq": ("oracle-eq", _oracle_coefficient, lambda w: w["mismatches"]),
@@ -150,6 +146,39 @@ def test_suites_name_a_seeded_mutant(quartic, monkeypatch, case):
     report = _run(quartic, suite)
     assert not report.passed
     assert culprits(report.witnesses) == expected
+
+
+def test_a_run_expands_each_entry_once(quartic, monkeypatch):
+    # suites 3.8 and 3.11 read the run's A, and suite 2.11 reads it through
+    # B: the m^2 = 9 entries are expanded once, wherever a module binds the
+    # expansion
+    real = hasse_witt.symbolic_entry
+    calls = []
+
+    def counted(support, u, v, p):
+        calls.append((u, v))
+        return real(support, u, v, p)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hassewitt" and getattr(module, "symbolic_entry", None) is real:
+            monkeypatch.setattr(module, "symbolic_entry", counted)
+    assert all(r.passed for r in suites.run_suites(quartic, PRESET_P, "all"))
+    assert len(calls) == len(set(calls)) == quartic.m**2 == 9
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_suite_3_8_reads_A_at_the_support_labels(p):
+    # the Fermat quartic with two of its three interior monomials, (1,1,2)
+    # and (2,1,1): A's rows run over all three, so the support's second
+    # interior monomial is A's third row
+    support = SupportSet.build(
+        2, 4, [(4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 2), (2, 1, 1), (3, 1, 0), (0, 1, 3)]
+    )
+    assert support.m == 2 and not support.u_contained
+    (report,) = suites.run_suites(support, p, "3.8")
+    assert report.passed
+    pairs = [(e["i"], e["j"]) for e in report.witnesses["entries"]]
+    assert pairs == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 
 def _moved(f):
